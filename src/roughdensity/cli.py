@@ -19,7 +19,11 @@ def _worker_count(flag_value) -> int:
         return max(1, int(flag_value))
     env = os.environ.get(ENV_WORKERS)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"{ENV_WORKERS} must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 

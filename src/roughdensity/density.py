@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .diagnostics import kappa
 from .fields import VectorFieldSystem, ellipticity_scan, NonEllipticError
@@ -21,7 +20,8 @@ from .kernels import CovKernel, TimeGrid
 from .lift import lift_ensemble
 from .malliavin import MalliavinMatrix, deterministic_malliavin_matrix
 from .paths import CMElement, cholesky_factor, sample
-from .rde import SkeletonPropagator, solve_batch, solve_skeleton
+from .rde import (BlowUpError, SkeletonPropagator, solve_batch,
+                  solve_skeleton)
 
 CHUNK_PATHS = 16384
 
@@ -31,7 +31,7 @@ class NoiseFloorError(RuntimeError):
 
 
 class TargetUnreachableError(RuntimeError):
-    """Constraint residual not met at the maximum penalty weight."""
+    """No start reached y: A G^-1 A^T singular, or no convergence."""
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +274,13 @@ def tail_probability_check(kernel: CovKernel, vf: VectorFieldSystem, z0,
 
 
 # ---------------------------------------------------------------------------
-# Rate function (penalized minimal Cameron-Martin energy)
+# Rate function (minimal Cameron-Martin energy, Gauss-Newton KKT solve)
 # ---------------------------------------------------------------------------
+
+MAX_ITERATIONS = 100       # batched propagations, backtracking included
+SINGULAR_RTOL = 1e-12      # min/max eigenvalue of A G^-1 A^T below: singular
+STEP_RTOL = 1e-10          # converged: |step|_H <= STEP_RTOL (1 + |c|_H)
+
 
 @dataclass
 class RateFunctionResult:
@@ -283,20 +288,21 @@ class RateFunctionResult:
     d2: float
     h_opt: CMElement
     residual: float
-    penalty_trace: list
+    tol: float
+    iterations: list
     det_gamma: float
     gamma: MalliavinMatrix
     start_index: int
 
     @property
     def accepted(self) -> bool:
-        return self.residual <= self.penalty_trace[-1]["tol"] \
-            and self.det_gamma > 0
+        return self.residual <= self.tol and self.det_gamma > 0
 
     def to_json(self):
         return {"y": np.atleast_1d(self.y).tolist(), "d2": self.d2,
                 "residual": self.residual, "det_gamma": self.det_gamma,
-                "penalty_trace": self.penalty_trace,
+                "iterations": self.iterations,
+                "n_iterations": len(self.iterations),
                 "start_index": self.start_index,
                 "h_nodes": self.h_opt.nodes.tolist(),
                 "h_coeffs": self.h_opt.coeffs.tolist()}
@@ -304,18 +310,19 @@ class RateFunctionResult:
 
 def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                   grid: TimeGrid | None = None, m_nodes: int = 16,
-                  penalty_schedule=(1e2, 1e3, 1e4, 1e5), tol: float = 1e-6,
-                  n_starts: int = 5, seed: int = 0, refine_factor: int = 8,
-                  max_penalty: float = 1e10,
+                  tol: float = 1e-6, n_starts: int = 5, seed: int = 0,
+                  refine_factor: int = 8,
                   elliptic_gate: bool = True) -> RateFunctionResult:
-    """Minimize (1/2)|h|^2 subject to the skeleton reaching y, by quadratic
-    penalty with quasi-Newton descent and central finite differences.
-
-    The penalty weight follows ``penalty_schedule`` and keeps escalating
-    (x10, up to ``max_penalty``) until the constraint residual meets
-    ``tol``; ``n_starts`` seeded starts run the whole schedule and the best
-    feasible minimizer wins (ties: lowest start index).
-    """
+    """Minimize (1/2)|h|^2_H subject to the skeleton reaching y: Gauss-Newton
+    on the KKT system.  With h = sum_i c_i R(s_i, .) on ``m_nodes``
+    equispaced nodes, node Gram G and exact RK4 tangent A = dPhi_T/dc, each
+    step goes to the minimum-norm point of the linearized constraint,
+    c+ = G^-1 A^T (A G^-1 A^T)^-1 (y - Phi(c) + A c), whose fixed points are
+    the KKT points; the step needs A G^-1 A^T, the deterministic Malliavin
+    matrix compressed to span{R(s_i, .)}, non-degenerate.  Steps backtrack
+    on |Phi - y| (a trial is kept if it lowers it or stays below tol/10).
+    ``n_starts`` seeded starts iterate as one batch; the feasible minimizer
+    of least energy wins (ties: lowest start index)."""
     if elliptic_gate:
         lam = vf.elliptic_lambda
         if lam is None:
@@ -331,69 +338,77 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     m, d = m_nodes, vf.d
     nodes = grid.horizon * np.arange(1, m + 1) / m
     gram = np.atleast_2d(kernel.eval(nodes[:, None], nodes[None, :]))
+    # Gram and inverse Gram of the flattened coefficients c.ravel()
+    gram_c = np.kron(gram, np.eye(d))
+    gram_c_inv = np.kron(np.linalg.pinv(gram, hermitian=True), np.eye(d))
     prop = SkeletonPropagator(kernel, vf, grid, nodes,
                               refine_factor=refine_factor)
 
-    def energy(theta):
-        c = theta.reshape(m, d)
-        return 0.5 * float(np.einsum("ic,ij,jc->", c, gram, c))
+    def linearize(cs):
+        phi, tan = prop.propagate(cs.reshape(-1, m, d), z0,
+                                  with_tangent=True)
+        return phi[:, -1], tan.reshape(len(cs), vf.n, m * d)
 
-    def energy_grad(theta):
-        c = theta.reshape(m, d)
-        return (gram @ c).ravel()
-
-    def residual_sq(theta):
-        phi1 = prop.terminal(theta.reshape(1, m, d), z0)[0]
-        return float(np.sum((phi1 - y_arr) ** 2))
-
-    def residual_sq_grad(theta):
-        # batched central differences, step 1e-5 (1 + |coef|)
-        steps = 1e-5 * (1.0 + np.abs(theta))
-        pert = np.concatenate([theta + np.diag(steps),
-                               theta - np.diag(steps)], axis=0)
-        phi = prop.terminal(pert.reshape(-1, m, d), z0)
-        vals = np.sum((phi - y_arr) ** 2, axis=1)
-        return (vals[: m * d] - vals[m * d:]) / (2 * steps)
+    def h_norm(cs):
+        return np.sqrt(np.einsum("bi,ij,bj->b", cs, gram_c, cs))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    start_points = 0.1 * rng.standard_normal((n_starts, m * d))
-    schedule = list(penalty_schedule)
-    while schedule[-1] < max_penalty:
-        schedule.append(schedule[-1] * 10.0)
+    c = 0.1 * rng.standard_normal((n_starts, m * d))
+    phi, tangent = linearize(c)
+    step = np.ones(n_starts)
+    history = [[] for _ in range(n_starts)]
+    converged, singular = [], []
+    active = np.arange(n_starts)
+    for _ in range(MAX_ITERATIONS):
+        a, r, c_act = tangent[active], phi[active] - y_arr, c[active]
+        a_ginv = np.einsum("ij,baj->bia", gram_c_inv, a)
+        s_mat = a @ a_ginv
+        eig = np.linalg.eigvalsh(s_mat)
+        bad = ~(eig[:, 0] > SINGULAR_RTOL * eig[:, -1])
+        s_mat[bad] = np.eye(vf.n)
+        rhs = (np.einsum("bai,bi->ba", a, c_act) - r)[..., None]
+        delta = (a_ginv @ np.linalg.solve(s_mat, rhs))[..., 0] - c_act
+        resid = np.linalg.norm(r, axis=1)
+        done = ~bad & (resid <= tol) & (
+            h_norm(delta) <= STEP_RTOL * (1.0 + h_norm(c_act)))
+        singular += list(active[bad])
+        converged += list(active[done])
+        keep = ~(bad | done)
+        active, delta, eig, resid = (active[keep], delta[keep], eig[keep],
+                                     resid[keep])
+        if active.size == 0:
+            break
+        trial = c[active] + step[active, None] * delta
+        try:
+            phi_t, tan_t = linearize(trial)
+        except BlowUpError:             # the whole batch backtracks
+            step[active] *= 0.5
+            continue
+        resid_t = np.linalg.norm(phi_t - y_arr, axis=1)
+        ok = resid_t <= np.maximum((1.0 - 1e-4 * step[active]) * resid,
+                                   0.1 * tol)
+        for row in np.flatnonzero(ok):
+            history[active[row]].append({"residual": float(resid_t[row]),
+                                         "step": float(step[active[row]]),
+                                         "min_eig": float(eig[row, 0])})
+        hit = active[ok]
+        c[hit], phi[hit], tangent[hit] = trial[ok], phi_t[ok], tan_t[ok]
+        step[active] = np.where(ok, 1.0, 0.5 * step[active])
 
-    best = None
-    for s_idx in range(n_starts):
-        theta = start_points[s_idx].copy()
-        trace = []
-        for mu in schedule:
-            res = minimize(
-                lambda th: energy(th) + mu * residual_sq(th),
-                theta, jac=lambda th: energy_grad(th)
-                + mu * residual_sq_grad(th),
-                method="BFGS",
-                options={"gtol": 1e-9 * max(mu, 1.0), "maxiter": 200})
-            theta = res.x
-            resid = math.sqrt(residual_sq(theta))
-            trace.append({"mu": mu, "value": energy(theta),
-                          "residual": resid, "tol": tol})
-            if resid <= tol:
-                break
-        cand = (energy(theta), s_idx, theta, resid, trace)
-        if resid <= tol and (best is None or
-                             (cand[0], cand[1]) < (best[0], best[1])):
-            best = cand
-
-    if best is None:
-        raise TargetUnreachableError(
-            f"constraint residual not met at max penalty {schedule[-1]:g}: "
-            "target may be unreachable at this budget")
-    value, s_idx, theta, resid, trace = best
-    h_opt = CMElement(kernel, nodes, theta.reshape(m, d))
+    if not converged:
+        why = ("A G^-1 A^T is singular" if singular else
+               f"no convergence in {MAX_ITERATIONS} iterations")
+        raise TargetUnreachableError(f"y={y_arr.tolist()}: {why}")
+    energy = 0.5 * h_norm(c) ** 2
+    s_idx = min(converged, key=lambda s: (energy[s], s))
+    h_opt = CMElement(kernel, nodes, c[s_idx].reshape(m, d))
     gamma = deterministic_malliavin_matrix(h_opt, vf, z0, kernel, grid,
                                            refine_factor=refine_factor)
-    return RateFunctionResult(y=y_arr, d2=value, h_opt=h_opt, residual=resid,
-                              penalty_trace=trace, det_gamma=gamma.det,
-                              gamma=gamma, start_index=s_idx)
+    return RateFunctionResult(
+        y=y_arr, d2=float(energy[s_idx]), h_opt=h_opt,
+        residual=float(np.linalg.norm(phi[s_idx] - y_arr)), tol=tol,
+        iterations=history[s_idx], det_gamma=gamma.det, gamma=gamma,
+        start_index=int(s_idx))
 
 
 # ---------------------------------------------------------------------------

@@ -199,20 +199,18 @@ class SkeletonPropagator:
     Traces are cubic-interpolated on an 8x (configurable) refined grid and
     integrated by RK4; the trace is linear in the coefficients, so the
     spline-derivative response of each node basis function is precomputed
-    once and reused for every objective/gradient evaluation.
+    once and reused for every evaluation and tangent.
     """
 
     def __init__(self, kernel, vf: VectorFieldSystem, grid: TimeGrid,
                  h_nodes: np.ndarray, refine_factor: int = 8,
                  guard: float = 1e8):
-        self.kernel = kernel
         self.vf = vf
-        self.grid = grid
         self.h_nodes = np.asarray(h_nodes, dtype=float)
         self.guard = guard
         # basis traces R(s_m, t) on the grid
-        self.basis = kernel.eval(self.h_nodes[:, None], grid.nodes[None, :])
-        self.basis = np.atleast_2d(self.basis)
+        self.basis = np.atleast_2d(kernel.eval(self.h_nodes[:, None],
+                                               grid.nodes[None, :]))
         fine = grid.refine(refine_factor)
         self.fine_nodes = fine.nodes
         self.refine_factor = refine_factor
@@ -222,67 +220,58 @@ class SkeletonPropagator:
         stage_times[1::2] = 0.5 * (fine.nodes[:-1] + fine.nodes[1:])
         self.basis_dot = spline(stage_times, 1).T     # (m, 2*M+1)
 
-    def _hdot_table(self, coeffs: np.ndarray) -> np.ndarray:
-        # coeffs (B, m, d) -> stage derivative values (B, Q, d)
-        return np.einsum("bmd,mq->bqd", coeffs, self.basis_dot)
-
-    def propagate(self, coeffs: np.ndarray, z0,
-                  with_jacobian: bool = False):
-        """RK4 the skeleton (and optionally its Jacobian) for a coefficient
-        batch (B, m, d); returns phi at base nodes (B, N+1, n) and, when
-        requested, J (B, N+1, n, n)."""
+    def propagate(self, coeffs: np.ndarray, z0, with_jacobian: bool = False,
+                  with_tangent: bool = False):
+        """RK4 the skeleton for a coefficient batch (B, m, d): phi at base
+        nodes (B, N+1, n), then as requested J = dphi/dz0 at base nodes
+        (B, N+1, n, n) and the terminal tangent A = dphi_T/dc (B, n, m, d),
+        exact derivatives of the discrete map from one variational recursion
+        through the same RK4 stages (J columns start at the identity, A
+        columns at zero and are forced by v(phi) bdot_m(t))."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim == 2:
             coeffs = coeffs[:, :, None]
-        B = coeffs.shape[0]
-        vf = self.vf
-        z0 = _as_state(z0, vf.n)
-        hdot = self._hdot_table(coeffs)
-        steps = np.diff(self.fine_nodes)
-        M = steps.size
-        f = self.refine_factor
-        n_base = (M // f) + 1
+        B, m, d = coeffs.shape
+        vf, n, f = self.vf, self.vf.n, self.refine_factor
+        hdot = np.einsum("bmd,mq->bqd", coeffs, self.basis_dot)  # (B, Q, d)
+        n_j, n_c = n * with_jacobian, m * d * with_tangent
+        phi = np.broadcast_to(_as_state(z0, n), (B, n)).copy()
+        tan = np.zeros((B, n, n_j + n_c))
+        tan[:, :n_j, :n_j] = np.eye(n_j)
+        phi_out, j_out = [phi], [tan[:, :, :n_j]]
 
-        phi_out = np.empty((B, n_base, vf.n))
-        phi = np.broadcast_to(z0, (B, vf.n)).copy()
-        phi_out[:, 0] = phi
-        if with_jacobian:
-            j_out = np.empty((B, n_base, vf.n, vf.n))
-            j = np.broadcast_to(np.eye(vf.n), (B, vf.n, vf.n)).copy()
-            j_out[:, 0] = j
-
-        def rhs(state, hd):
-            return vf.v0(state) + np.einsum("bad,bd->ba", vf.v(state), hd)
-
-        def jac_rhs(state, jmat, hd):
+        def stage(state, t_state, q):       # slopes of phi and tangent
+            v, hd = vf.v(state), hdot[:, q]
+            k = vf.v0(state) + np.einsum("bad,bd->ba", v, hd)
+            if t_state.size == 0:           # no derivative requested
+                return k, t_state
             a = vf.dv0(state) + np.einsum("badj,bj->bad", vf.dv(state), hd)
-            return np.einsum("bac,bce->bae", a, jmat)
+            dt = np.einsum("bac,bce->bae", a, t_state)
+            if n_c:
+                dt[:, :, n_j:] += np.einsum("bak,m->bamk", v, self.basis_dot[
+                    :, q]).reshape(B, n, n_c)
+            return k, dt
 
-        for i in range(M):
-            h = steps[i]
-            hd0, hdm, hd1 = hdot[:, 2 * i], hdot[:, 2 * i + 1], hdot[:, 2 * i + 2]
-            k1 = rhs(phi, hd0)
-            k2 = rhs(phi + 0.5 * h * k1, hdm)
-            k3 = rhs(phi + 0.5 * h * k2, hdm)
-            k4 = rhs(phi + h * k3, hd1)
-            if with_jacobian:
-                m1 = jac_rhs(phi, j, hd0)
-                m2 = jac_rhs(phi + 0.5 * h * k1, j + 0.5 * h * m1, hdm)
-                m3 = jac_rhs(phi + 0.5 * h * k2, j + 0.5 * h * m2, hdm)
-                m4 = jac_rhs(phi + h * k3, j + h * m3, hd1)
-                j = j + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
+        for i, h in enumerate(np.diff(self.fine_nodes)):
+            k1, m1 = stage(phi, tan, 2 * i)
+            k2, m2 = stage(phi + 0.5 * h * k1, tan + 0.5 * h * m1, 2 * i + 1)
+            k3, m3 = stage(phi + 0.5 * h * k2, tan + 0.5 * h * m2, 2 * i + 1)
+            k4, m4 = stage(phi + h * k3, tan + h * m3, 2 * i + 2)
+            tan = tan + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
             phi = phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if np.abs(phi).max() > self.guard:
                 raise BlowUpError("skeleton escaped the guard radius",
                                   last_valid_step=i)
             if (i + 1) % f == 0:
-                phi_out[:, (i + 1) // f] = phi
-                if with_jacobian:
-                    j_out[:, (i + 1) // f] = j
+                phi_out.append(phi)
+                j_out.append(tan[:, :, :n_j])
 
+        out = [np.stack(phi_out, axis=1)]
         if with_jacobian:
-            return phi_out, j_out
-        return phi_out
+            out.append(np.stack(j_out, axis=1))
+        if with_tangent:
+            out.append(tan[:, :, n_j:].reshape(B, n, m, d))
+        return out[0] if len(out) == 1 else tuple(out)
 
     def terminal(self, coeffs: np.ndarray, z0) -> np.ndarray:
         """Phi_T for a coefficient batch, shape (B, n)."""
@@ -294,8 +283,6 @@ def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0, grid: TimeGrid,
     """Skeleton flow and its Jacobian for one Cameron-Martin element."""
     prop = SkeletonPropagator(h.kernel, vf, grid, h.nodes,
                               refine_factor=refine_factor)
-    coeffs = h.coeffs[None]
-    phi, jac = prop.propagate(coeffs, z0, with_jacobian=True)
-    jinv = np.linalg.inv(jac[0])
-    return SkeletonFlow(grid=grid, phi=phi[0], J=jac[0], Jinv=jinv,
-                        z0=_as_state(z0, vf.n))
+    phi, jac = prop.propagate(h.coeffs[None], z0, with_jacobian=True)
+    return SkeletonFlow(grid=grid, phi=phi[0], J=jac[0],
+                        Jinv=np.linalg.inv(jac[0]), z0=_as_state(z0, vf.n))

@@ -41,7 +41,6 @@ from .kernels import CovKernel, TimeGrid, kernel_from_spec
 from .lift import lift, lift_ensemble
 from .malliavin import (
     HypothesisGateError,
-    derivative_kernel,
     directional_derivative,
     interpolation_audit,
     malliavin_matrix_batch,
@@ -67,12 +66,9 @@ class GateFailure(RuntimeError):
 
 
 def load_schema() -> dict:
-    root = Path(__file__).resolve().parents[2] / "docs" / "schema.json"
-    if root.exists():
-        return json.loads(root.read_text())
-    with importlib.resources.files("roughdensity").joinpath(
-            "schema.json").open() as fh:      # pragma: no cover
-        return json.load(fh)
+    """The config schema, shipped as package data."""
+    return json.loads(importlib.resources.files("roughdensity").joinpath(
+        "schema.json").read_text())
 
 
 def validate_config(config: dict) -> None:
@@ -248,21 +244,17 @@ def _exp_varadhan(config, kernel, grid, out_dir, workers):
         raise ConfigError("varadhan experiment needs y_targets")
     eps_list = config.get("eps_list", [0.5, 0.35, 0.25])
     gap_max = config.get("thresholds", {}).get("varadhan_gap", 0.1)
+    seed, tol = config.get("seed", 0), config.get("tol", 1e-6)
     rows, results, criteria = [], [], []
     for y in y_targets:
         y_vec = [y] if isinstance(y, (int, float)) else list(y)
-        rate = rate_function(
-            y_vec, kernel, vf, z0, grid=None,
-            m_nodes=config.get("m_nodes", 16),
-            penalty_schedule=tuple(config.get("penalty_schedule",
-                                              (1e2, 1e3, 1e4, 1e5))),
-            tol=config.get("tol", 1e-6),
-            n_starts=config.get("n_starts", 5),
-            seed=config.get("seed", 0))
+        rate = rate_function(y_vec, kernel, vf, z0, seed=seed, tol=tol,
+                             m_nodes=config.get("m_nodes", 16),
+                             n_starts=config.get("n_starts", 5))
         sweep = varadhan_sweep(y_vec, kernel, vf, z0, eps_list=eps_list,
                                n_paths=config.get("n_paths", 100_000),
-                               seed=config.get("seed", 0), rate=rate,
-                               grid=grid, workers=workers)
+                               seed=seed, rate=rate, grid=grid,
+                               workers=workers)
         for e, s, ok in zip(sweep.eps_list, sweep.scaled, sweep.trusted):
             rows.append([y_vec[0] if len(y_vec) == 1 else json.dumps(y_vec),
                          e, s, ok])
@@ -271,7 +263,7 @@ def _exp_varadhan(config, kernel, grid, out_dir, workers):
         label = f"y={y_vec[0]:g}" if len(y_vec) == 1 else f"y={y_vec}"
         criteria.extend([
             {"name": f"residual {label}",
-             "pass": bool(rate.residual <= config.get("tol", 1e-6)),
+             "pass": bool(rate.residual <= tol),
              "value": rate.residual},
             {"name": f"det_gamma_positive {label}",
              "pass": bool(rate.det_gamma > 0), "value": rate.det_gamma},
@@ -453,7 +445,8 @@ def summarize(artifact_dir: str) -> str:
     for target in result.get("targets", []):
         rf = target["rate_function"]
         sw = target["sweep"]
-        lines.append(f"  d2(y={rf['y']}) = {rf['d2']:.6g}; "
+        lines.append(f"  d2(y={rf['y']}) = {rf['d2']:.6g} "
+                     f"({rf['n_iterations']} iterations); "
                      f"extrapolated limit = {sw['extrapolated']:.6g}; "
                      f"gap = {sw['gap']:.3g}")
     if "tail_fit" in result:

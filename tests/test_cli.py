@@ -1,10 +1,14 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roughdensity
 from roughdensity.cli import main
 from roughdensity.paths import load_ensemble
 from roughdensity.runner import (
@@ -74,6 +78,29 @@ def test_schema_violation_exits_2(tmp_path):
     assert code == EXIT_CONFIG
     with pytest.raises(Exception):
         validate_config({"kernel": {"family": "fbm"}, "experiment": "nope"})
+
+
+def test_bad_worker_env_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, HYP_OK)
+    monkeypatch.setenv("ROUGHDENSITY_WORKERS", "two")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_schema_ships_with_package(tmp_path):
+    # a copy of the package with no docs/ (or any checkout) beside it
+    src = Path(roughdensity.__file__).parent
+    shutil.copytree(src, tmp_path / "roughdensity",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = ("import roughdensity.runner as r; "
+              "r.validate_config({'kernel': {'family': 'fbm'}, "
+              "'experiment': 'hypotheses'}); print(r.__file__)")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(str(tmp_path))
 
 
 def test_gated_experiment_exits_3(tmp_path):
@@ -200,3 +227,6 @@ def test_varadhan_experiment(tmp_path):
     report = json.loads((out / "report.json").read_text())
     target = report["result"]["targets"][0]
     assert abs(target["rate_function"]["d2"] - 0.125) < 1e-3
+    n_iter = target["rate_function"]["n_iterations"]
+    assert n_iter == len(target["rate_function"]["iterations"]) >= 1
+    assert f"({n_iter} iterations)" in summarize(str(out))

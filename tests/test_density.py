@@ -30,6 +30,8 @@ from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
 from roughdensity.malliavin import deterministic_malliavin_matrix
 from roughdensity.paths import CMElement
 
+from _rate_oracle import penalty_rate_function
+
 
 def gaussian_density(y, mean, var):
     return np.exp(-0.5 * (y - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
@@ -191,11 +193,37 @@ def test_rate_function_rejects_non_elliptic():
                       [0.0, 0.0], seed=0)
 
 
-def test_rate_function_unreachable_budget():
+def test_rate_function_unreachable_target():
+    # From z0 = 0 the linear field keeps the skeleton at 0 for every h, so
+    # A G^-1 A^T vanishes and no step towards y = 1 exists.
     with pytest.raises(TargetUnreachableError):
-        rate_function([40.0], brownian(), bounded_nonlinear_field(), [0.0],
-                      seed=0, n_starts=1, penalty_schedule=(10.0,),
-                      max_penalty=10.0, tol=1e-10)
+        rate_function([1.0], brownian(), scalar_linear_field(1.0), [0.0],
+                      seed=0, elliptic_gate=False)
+
+
+def test_rate_function_matches_penalty_oracle():
+    kernel, vf = FractionalBrownian(0.4), bounded_nonlinear_field()
+    want = penalty_rate_function([1.0], kernel, vf, [0.0], m_nodes=4,
+                                 n_starts=1, seed=0)
+    assert want is not None
+    res = rate_function([1.0], kernel, vf, [0.0], m_nodes=4, n_starts=1,
+                        seed=0)
+    assert res.d2 == pytest.approx(want[0], abs=1e-6)
+    assert res.residual <= 1e-12
+    assert res.accepted
+
+
+def test_rate_function_reports_iterations():
+    res = rate_function([1.0], FractionalBrownian(0.4),
+                        bounded_nonlinear_field(), [0.0], m_nodes=4,
+                        n_starts=3, seed=2)
+    steps = res.iterations
+    assert len(steps) >= 2
+    assert steps[-1]["residual"] == res.residual
+    assert all(0 < s["step"] <= 1 and s["min_eig"] > 0 for s in steps)
+    doc = res.to_json()
+    assert doc["n_iterations"] == len(steps)
+    assert doc["iterations"] == steps
 
 
 def test_varadhan_sweep_additive_matches_exact_curve():

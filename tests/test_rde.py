@@ -191,3 +191,39 @@ def test_skeleton_propagator_batches_match_single():
         h = CMElement(k, nodes, coeffs[b])
         flow = solve_skeleton(h, vf, z0=[0.1], grid=grid)
         assert batch[b, 0] == pytest.approx(flow.phi[-1, 0], rel=1e-12)
+
+
+@pytest.mark.parametrize("vf, z0", [
+    (rotation_mix_field(), [0.2, -0.1]),
+    (bounded_nonlinear_field(), [0.1]),
+], ids=["rotation_mix", "bounded_nonlinear"])
+def test_skeleton_tangent_matches_finite_difference(vf, z0):
+    grid = TimeGrid.regular(32)
+    nodes = np.linspace(1 / 4, 1.0, 4)
+    prop = SkeletonPropagator(FractionalBrownian(0.4), vf, grid, nodes)
+    coeffs = 0.7 * np.random.default_rng(23).standard_normal((2, 4, vf.d))
+    phi, tangent = prop.propagate(coeffs, z0, with_tangent=True)
+    np.testing.assert_array_equal(phi, prop.propagate(coeffs, z0))
+    step = 1e-5
+    for i in range(4):
+        for k in range(vf.d):
+            bump = np.zeros_like(coeffs)
+            bump[:, i, k] = step
+            fd = (prop.terminal(coeffs + bump, z0)
+                  - prop.terminal(coeffs - bump, z0)) / (2 * step)
+            np.testing.assert_allclose(tangent[:, :, i, k], fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(fd).max())
+
+
+def test_skeleton_tangent_leaves_jacobian_unchanged():
+    k = FractionalBrownian(0.4)
+    grid = TimeGrid.regular(32)
+    vf = rotation_mix_field()
+    nodes = np.linspace(1 / 4, 1.0, 4)
+    prop = SkeletonPropagator(k, vf, grid, nodes)
+    coeffs = np.random.default_rng(29).standard_normal((3, 4, 2))
+    phi, jac = prop.propagate(coeffs, [0.3, 0.0], with_jacobian=True)
+    phi2, jac2, _ = prop.propagate(coeffs, [0.3, 0.0], with_jacobian=True,
+                                   with_tangent=True)
+    np.testing.assert_array_equal(phi, phi2)
+    np.testing.assert_allclose(jac2, jac, rtol=1e-13, atol=1e-15)
