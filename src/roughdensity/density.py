@@ -20,8 +20,8 @@ from .kernels import CovKernel, TimeGrid
 from .lift import lift_ensemble
 from .malliavin import MalliavinMatrix, deterministic_malliavin_matrix
 from .paths import CMElement, cholesky_factor, sample
-from .rde import (BlowUpError, SkeletonPropagator, solve_batch,
-                  solve_skeleton)
+from .rde import (BlowUpError, SkeletonFlow, SkeletonPropagator,
+                  solve_batch, solve_skeleton)
 
 CHUNK_PATHS = 16384
 
@@ -345,22 +345,22 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                               refine_factor=refine_factor)
 
     def linearize(cs):
-        phi, tan = prop.propagate(cs.reshape(-1, m, d), z0,
-                                  with_tangent=True)
-        return phi[:, -1], tan.reshape(len(cs), vf.n, m * d)
+        phi, jac, tan = prop.propagate(cs.reshape(-1, m, d), z0,
+                                       with_jacobian=True, with_tangent=True)
+        return phi, jac, tan.reshape(len(cs), vf.n, m * d)
 
     def h_norm(cs):
         return np.sqrt(np.einsum("bi,ij,bj->b", cs, gram_c, cs))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     c = 0.1 * rng.standard_normal((n_starts, m * d))
-    phi, tangent = linearize(c)
+    phi, jac, tangent = linearize(c)
     step = np.ones(n_starts)
     history = [[] for _ in range(n_starts)]
     converged, singular = [], []
     active = np.arange(n_starts)
     for _ in range(MAX_ITERATIONS):
-        a, r, c_act = tangent[active], phi[active] - y_arr, c[active]
+        a, r, c_act = tangent[active], phi[active, -1] - y_arr, c[active]
         a_ginv = np.einsum("ij,baj->bia", gram_c_inv, a)
         s_mat = a @ a_ginv
         eig = np.linalg.eigvalsh(s_mat)
@@ -380,11 +380,11 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
             break
         trial = c[active] + step[active, None] * delta
         try:
-            phi_t, tan_t = linearize(trial)
+            phi_t, jac_t, tan_t = linearize(trial)
         except BlowUpError:             # the whole batch backtracks
             step[active] *= 0.5
             continue
-        resid_t = np.linalg.norm(phi_t - y_arr, axis=1)
+        resid_t = np.linalg.norm(phi_t[:, -1] - y_arr, axis=1)
         ok = resid_t <= np.maximum((1.0 - 1e-4 * step[active]) * resid,
                                    0.1 * tol)
         for row in np.flatnonzero(ok):
@@ -392,7 +392,8 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                                          "step": float(step[active[row]]),
                                          "min_eig": float(eig[row, 0])})
         hit = active[ok]
-        c[hit], phi[hit], tangent[hit] = trial[ok], phi_t[ok], tan_t[ok]
+        c[hit], phi[hit], jac[hit] = trial[ok], phi_t[ok], jac_t[ok]
+        tangent[hit] = tan_t[ok]
         step[active] = np.where(ok, 1.0, 0.5 * step[active])
 
     if not converged:
@@ -402,11 +403,14 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     energy = 0.5 * h_norm(c) ** 2
     s_idx = min(converged, key=lambda s: (energy[s], s))
     h_opt = CMElement(kernel, nodes, c[s_idx].reshape(m, d))
+    # the winner's last linearization already carries its skeleton flow
+    skeleton = SkeletonFlow(grid=grid, phi=phi[s_idx], J=jac[s_idx],
+                            Jinv=np.linalg.inv(jac[s_idx]), z0=phi[s_idx, 0])
     gamma = deterministic_malliavin_matrix(h_opt, vf, z0, kernel, grid,
-                                           refine_factor=refine_factor)
+                                           skeleton=skeleton)
     return RateFunctionResult(
         y=y_arr, d2=float(energy[s_idx]), h_opt=h_opt,
-        residual=float(np.linalg.norm(phi[s_idx] - y_arr)), tol=tol,
+        residual=float(np.linalg.norm(phi[s_idx, -1] - y_arr)), tol=tol,
         iterations=history[s_idx], det_gamma=gamma.det, gamma=gamma,
         start_index=int(s_idx))
 

@@ -53,9 +53,6 @@ class MalliavinMatrix:
     def det(self) -> float:
         return float(np.linalg.det(self.gamma))
 
-    def to_csv(self, path: str) -> None:
-        np.savetxt(path, self.gamma, delimiter=",")
-
 
 def _t_index(grid: TimeGrid, t_node) -> int:
     if isinstance(t_node, (int, np.integer)):
@@ -80,24 +77,16 @@ def derivative_kernel(flow: FlowState, vf: VectorFieldSystem,
     return MalliavinKernelTrace(grid=flow.grid, t_index=idx, values=values)
 
 
-def pair_with_element(trace: MalliavinKernelTrace, h: CMElement) -> np.ndarray:
-    """Left-endpoint Riemann-Stieltjes pairing of the derivative kernel
-    with the trace increments of h (first-order quadrature of the
-    directional derivative)."""
-    nodes = trace.grid.nodes[: trace.t_index + 1]
-    hvals = cm_eval(h, nodes)
-    dh = np.diff(hvals, axis=0)
-    return np.einsum("sad,sd->a", trace.values[:-1], dh)
-
-
 def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
                            rp, h: CMElement, t_node) -> np.ndarray:
     """Cameron-Martin directional derivative of Z_t along h.
 
     Contracts the derivative kernel with dh through the same one-step
-    quadrature as the flow solver (including the mixed level-2 channel), so
-    it is the exact adjoint of the discrete flow map and matches the
-    continuous pairing to scheme order.
+    quadrature as the flow solver (including the mixed level-2 channel).
+    The flow's J is the exact derivative of the discrete step map and Jinv
+    is J^-1, so J_t J_{s+1}^-1 is the exact derivative of Z_t in Z_{s+1}
+    and the result is the exact adjoint of the discrete flow map, up to
+    round-off; it matches the continuous pairing to scheme order.
     """
     if flow.J is None or flow.Jinv is None:
         raise ValueError("flow was solved without the Jacobian pair")

@@ -3,9 +3,9 @@ and the smooth skeleton ODE driven by Cameron-Martin elements.
 
 The RDE stepper is a one-step second-order Taylor update consuming level-2
 data, with time adjoined as a smooth zeroth component (weights dt^2/2 and
-dt dx/2 for the drift blocks).  The inverse Jacobian propagates through its
-own linear update and is re-inverted from J every ``reinvert_every`` steps
-to stop drift.
+dt dx/2 for the drift blocks).  The Jacobian J is propagated through the
+exact derivative of that step map, and its inverse is one batched
+inversion of J over every node.
 """
 
 from __future__ import annotations
@@ -70,12 +70,15 @@ def _as_state(z0, n: int) -> np.ndarray:
 
 def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
                 vf: VectorFieldSystem, z0, eps: float = 1.0,
-                with_jacobian: bool = True, reinvert_every: int = 64,
+                with_jacobian: bool = True,
                 guard: float = 1e8) -> BatchFlow:
     """Second-order one-step scheme over an ensemble of lifted drivers.
 
     ``level1``: (P, N, d) increments, ``level2``: (P, N, d, d) iterated
-    integrals; the driver enters scaled by ``eps``.
+    integrals; the driver enters scaled by ``eps``.  With the Jacobian,
+    each step forms A_i = d(dz_i)/dz once, (P, n, n), and updates
+    J <- J + A_i J, so J is the exact derivative of the discrete map; Jinv
+    is np.linalg.inv(J) over all (P, N+1) nodes after the loop.
     """
     P, N, d = level1.shape
     if d != vf.d or level2.shape != (P, N, d, d) or N != grid.n_steps:
@@ -93,12 +96,9 @@ def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
     z = np.broadcast_to(z0, (P, n)).copy()
     if with_jacobian:
         J = np.empty((P, N + 1, n, n))
-        K = np.empty_like(J)
-        J[:, 0] = K[:, 0] = np.eye(n)
-        j = np.broadcast_to(np.eye(n), (P, n, n)).copy()
-        k = j.copy()
+        J[:, 0] = np.eye(n)
     else:
-        J = K = None
+        J = None
 
     for i in range(N):
         dt = dts[i]
@@ -109,56 +109,31 @@ def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
         dv0 = vf.dv0(z)
         dv = vf.dv(z)
 
+        vx1 = np.einsum("pad,pd->pa", v, x1)
         dz = v0 * dt
-        dz += np.einsum("pad,pd->pa", v, x1)
+        dz += vx1
         dz += np.einsum("pabk,pbj,pjk->pa", dv, v, x2)
         dz += 0.5 * dt * dt * np.einsum("pab,pb->pa", dv0, v0)
         dz += 0.5 * dt * (np.einsum("pabj,pb,pj->pa", dv, v0, x1)
                           + np.einsum("pab,pbj,pj->pa", dv0, v, x1))
 
         if with_jacobian:
-            d2v0 = vf.d2v0(z)
-            d2v = vf.d2v(z)
-            # level-2 blocks of the linearized (J) and inverse (K) equations
-            a_jk = (np.einsum("pacek,pej->pacjk", d2v, v)
-                    + np.einsum("paek,pecj->pacjk", dv, dv))
-            b_jk = (np.einsum("pcej,pebk->pcbjk", dv, dv)
-                    - np.einsum("pcbek,pej->pcbjk", d2v, v))
-            a_00 = (np.einsum("pace,pe->pac", d2v0, v0)
-                    + np.einsum("pae,pec->pac", dv0, dv0))
-            b_00 = (np.einsum("pae,pec->pac", dv0, dv0)
-                    - np.einsum("pace,pe->pac", d2v0, v0))
-            a_x = (np.einsum("pacek,pe->pack", d2v, v0)
-                   + np.einsum("paek,pec->pack", dv, dv0)
-                   + np.einsum("pace,pek->pack", d2v0, v)
-                   + np.einsum("pae,peck->pack", dv0, dv))
-            b_x = (np.einsum("pae,peck->pack", dv0, dv)
-                   - np.einsum("pacek,pe->pack", d2v, v0)
-                   + np.einsum("paek,pec->pack", dv, dv0)
-                   - np.einsum("pace,pek->pack", d2v0, v))
-
-            dj = dt * np.einsum("pac,pcb->pab", dv0, j)
-            dj += np.einsum("pacj,pcb,pj->pab", dv, j, x1)
-            dj += np.einsum("pacjk,pcb,pjk->pab", a_jk, j, x2)
-            dj += 0.5 * dt * dt * np.einsum("pac,pcb->pab", a_00, j)
-            dj += 0.5 * dt * np.einsum("pack,pcb,pk->pab", a_x, j, x1)
-
-            dk = -dt * np.einsum("pac,pcb->pab", k, dv0)
-            dk -= np.einsum("pac,pcbj,pj->pab", k, dv, x1)
-            dk += np.einsum("pac,pcbjk,pjk->pab", k, b_jk, x2)
-            dk += 0.5 * dt * dt * np.einsum("pac,pcb->pab", k, b_00)
-            dk += 0.5 * dt * np.einsum("pac,pcbk,pk->pab", k, b_x, x1)
-
-            j = j + dj
-            k = k + dk
-            # Newton correction K <- K (2I - J K): one cheap defect-squaring
-            # step per node, plus a full re-inversion on the window.
-            jk = np.einsum("pab,pbc->pac", j, k)
-            k = 2.0 * k - np.einsum("pab,pbc->pac", k, jk)
-            if (i + 1) % reinvert_every == 0:
-                k = np.linalg.inv(j)
-            J[:, i + 1] = j
-            K[:, i + 1] = k
+            # A = d(dz)/dz term by term, contracted with x1 and x2 so no
+            # (n, n, d, d) block is built: dv0 dt, dv x1, the level-2
+            # term d2v (v x2) + dv (dv x2), the drift terms dt^2/2 (d2v0 v0
+            # + dv0 dv0) and the mixed terms dt/2 (d2v (v0 x1) + (dv x1) dv0
+            # + d2v0 (v x1) + dv0 (dv x1)).
+            dvx1 = np.einsum("pacj,pj->pac", dv, x1)
+            dvx2 = dv @ x2[:, None]                          # (P, n, n, d)
+            a = dt * dv0 + dvx1
+            a += np.einsum("pacek,pek->pac", vf.d2v(z),
+                           v @ x2 + 0.5 * dt * np.einsum("pe,pk->pek", v0, x1))
+            a += dv.reshape(P, n, n * d) @ dvx2.transpose(0, 1, 3, 2).reshape(
+                P, n * d, n)
+            a += 0.5 * dt * np.einsum("pace,pe->pac", vf.d2v0(z),
+                                      dt * v0 + vx1)
+            a += 0.5 * dt * (dt * dv0 @ dv0 + dvx1 @ dv0 + dv0 @ dvx1)
+            J[:, i + 1] = J[:, i] + a @ J[:, i]
 
         z = z + dz
         if not np.all(np.isfinite(z)) or np.abs(z).max() > guard:
@@ -167,16 +142,15 @@ def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
                 "(step too coarse or field unbounded)", last_valid_step=i)
         Z[:, i + 1] = z
 
-    return BatchFlow(grid=grid, Z=Z, J=J, Jinv=K, z0=z0, eps=eps)
+    Jinv = None if J is None else np.linalg.inv(J)
+    return BatchFlow(grid=grid, Z=Z, J=J, Jinv=Jinv, z0=z0, eps=eps)
 
 
 def solve(rp: RoughPath2, vf: VectorFieldSystem, z0, eps: float = 1.0,
-          with_jacobian: bool = True, reinvert_every: int = 64,
-          guard: float = 1e8) -> FlowState:
+          with_jacobian: bool = True, guard: float = 1e8) -> FlowState:
     """Solve along a single lifted driver."""
     batch = solve_batch(rp.step1[None], rp.step2[None], rp.grid, vf, z0,
-                        eps=eps, with_jacobian=with_jacobian,
-                        reinvert_every=reinvert_every, guard=guard)
+                        eps=eps, with_jacobian=with_jacobian, guard=guard)
     return batch.flow(0)
 
 

@@ -10,7 +10,18 @@ import pytest
 
 import roughdensity
 from roughdensity.cli import main
-from roughdensity.paths import load_ensemble
+from roughdensity.fields import field_from_spec
+from roughdensity.kernels import TimeGrid, kernel_from_spec
+from roughdensity.lift import lift
+from roughdensity.malliavin import directional_derivative
+from roughdensity.paths import (
+    CMElement,
+    cm_eval,
+    cm_norm_sq,
+    load_ensemble,
+    sample,
+)
+from roughdensity.rde import solve
 from roughdensity.runner import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -199,6 +210,46 @@ def test_audit_malliavin_experiment(tmp_path):
     assert run(config, str(out)) == EXIT_PASS
     report = json.loads((out / "report.json").read_text())
     assert report["result"]["derivative_oracle"]["worst_error"] <= 3e-4
+
+
+def per_pair_worst_error(config):
+    """The audit's derivative oracle as the loop it replaced: per pair, one
+    single-path solve with the Jacobian and one perturbed solve without."""
+    kernel = kernel_from_spec(config["kernel"])
+    grid = TimeGrid.regular(config["grid"]["n_steps"], horizon=kernel.horizon)
+    vf = field_from_spec(config["vf"]["name"])
+    z0, seed, tau = [0.0] * vf.n, config["seed"], 1e-4
+    ens = sample(kernel, grid, d=vf.d, n_paths=config["n_pairs"], seed=seed)
+    rng = np.random.Generator(np.random.Philox(key=seed + 1))
+    worst = 0.0
+    for p in range(config["n_pairs"]):
+        vals = ens.path(p)
+        nodes = np.sort(rng.uniform(0.1 * kernel.horizon, kernel.horizon, 3))
+        coeffs = rng.standard_normal((3, vf.d))
+        h = CMElement(kernel, nodes, coeffs)
+        h = CMElement(kernel, nodes, coeffs / np.sqrt(cm_norm_sq(h)))
+        rp = lift(vals, grid)
+        base = solve(rp, vf, z0=z0)
+        pert = solve(lift(vals + tau * cm_eval(h, grid.nodes), grid), vf,
+                     z0=z0, with_jacobian=False)
+        fd = (pert.Z[-1] - base.Z[-1]) / tau
+        got = directional_derivative(base, vf, rp, h, kernel.horizon)
+        worst = max(worst, float(np.abs(fd - got).max()))
+    return worst
+
+
+def test_audit_malliavin_matches_per_pair_loop(tmp_path):
+    config = {"kernel": {"family": "fbm", "H": 0.4, "T": 1.0},
+              "grid": {"n_steps": 64}, "vf": {"name": "rotation_mix"},
+              "experiment": "audit-malliavin", "seed": 4, "n_pairs": 8}
+    blobs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert run(config, str(out), workers=workers) == EXIT_PASS
+        blobs.append((out / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    worst = json.loads(blobs[0])["result"]["derivative_oracle"]["worst_error"]
+    assert worst == per_pair_worst_error(config)
 
 
 def test_tails_experiment(tmp_path):

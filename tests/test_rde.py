@@ -19,6 +19,8 @@ from roughdensity.rde import (
     solve_skeleton,
 )
 
+from _flow_oracle import three_mechanism_solve_batch
+
 
 def bm_path(n=256, seed=0, d=1):
     ens = sample(brownian(), TimeGrid.regular(n), d=d, n_paths=1, seed=seed)
@@ -93,7 +95,53 @@ def test_jacobian_inverse_consistency():
     fs = solve(rp, rotation_mix_field(), z0=[0.3, -0.2], eps=0.6)
     prod = np.einsum("tab,tbc->tac", fs.J, fs.Jinv)
     err = np.abs(prod - np.eye(2)).max()
-    assert err <= 1e-8
+    assert err <= 1e-12
+
+
+FLOW_FIXTURES = pytest.mark.parametrize("vf, z0", [
+    (rotation_mix_field(), [0.3, -0.2]),
+    (bounded_nonlinear_field(), [0.1]),
+    (scalar_linear_field(1.0), [1.0]),
+], ids=["rotation_mix", "bounded_nonlinear", "scalar_linear"])
+
+
+def fbm_drivers(vf, n=128, n_paths=6, seed=31):
+    grid = TimeGrid.regular(n)
+    ens = sample(FractionalBrownian(0.4), grid, d=vf.d, n_paths=n_paths,
+                 seed=seed)
+    return (*lift_ensemble(ens.data), grid)
+
+
+@FLOW_FIXTURES
+def test_jacobian_matches_three_mechanism_oracle(vf, z0):
+    l1, l2, grid = fbm_drivers(vf)
+    new = solve_batch(l1, l2, grid, vf, z0, eps=0.8)
+    old = three_mechanism_solve_batch(l1, l2, grid, vf, z0, eps=0.8)
+    assert np.array_equal(new.Z, old.Z)
+    np.testing.assert_allclose(new.J, old.J, rtol=0,
+                               atol=1e-12 * np.abs(old.J).max())
+    # the oracle's K carries its own defect E = I - J K (its linearized
+    # update is first order between Newton corrections), and J^-1 - K is
+    # exactly J^-1 E
+    defect = np.eye(vf.n) - old.J @ old.Jinv
+    np.testing.assert_allclose(new.Jinv - old.Jinv, new.Jinv @ defect,
+                               rtol=0, atol=1e-12 * np.abs(new.Jinv).max())
+
+
+@FLOW_FIXTURES
+def test_terminal_jacobian_matches_central_differences(vf, z0):
+    l1, l2, grid = fbm_drivers(vf, n_paths=3)
+    flow = solve_batch(l1, l2, grid, vf, z0, eps=0.8)
+    step = 1e-6
+    for c in range(vf.n):
+        bump = step * np.eye(vf.n)[c]
+        up = solve_batch(l1, l2, grid, vf, np.add(z0, bump), eps=0.8,
+                         with_jacobian=False)
+        down = solve_batch(l1, l2, grid, vf, np.subtract(z0, bump), eps=0.8,
+                           with_jacobian=False)
+        fd = (up.Z[:, -1] - down.Z[:, -1]) / (2 * step)
+        np.testing.assert_allclose(flow.J[:, -1, :, c], fd, rtol=1e-7,
+                                   atol=1e-7 * np.abs(fd).max())
 
 
 def test_flow_property_restart():
