@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,11 @@ from .diagnostics import kappa
 from .fields import VectorFieldSystem, ellipticity_scan, NonEllipticError
 from .kernels import CovKernel, TimeGrid
 from .lift import lift_ensemble
-from .malliavin import MalliavinMatrix, deterministic_malliavin_matrix
+from .malliavin import (MalliavinMatrix, derivative_kernel,
+                        deterministic_malliavin_matrix)
 from .paths import CMElement, cholesky_factor, sample
-from .rde import (BlowUpError, SkeletonFlow, SkeletonPropagator,
-                  solve_batch, solve_skeleton)
+from .rde import (BlowUpError, FlowState, SkeletonPropagator, solve_batch,
+                  solve_skeleton)
 
 CHUNK_PATHS = 16384
 
@@ -136,13 +137,6 @@ class DensityEstimate:
     n_paths: int
     t: float
     normalization: float
-    samples: np.ndarray = field(repr=False, default=None)
-
-    def evaluate_at(self, points):
-        if self.samples is None:
-            raise ValueError("estimate was built without retained samples")
-        return kde_evaluate(self.samples, np.asarray(points, dtype=float),
-                            self.bandwidth)
 
     def to_json(self):
         return {"t": self.t, "n_paths": self.n_paths,
@@ -154,8 +148,8 @@ def estimate_density(kernel: CovKernel, vf: VectorFieldSystem, z0, t: float,
                      eps: float, n_paths: int, seed: int,
                      y_grid: np.ndarray | None = None,
                      bandwidth: np.ndarray | None = None,
-                     grid: TimeGrid | None = None, workers: int = 1,
-                     keep_samples: bool = True) -> DensityEstimate:
+                     grid: TimeGrid | None = None,
+                     workers: int = 1) -> DensityEstimate:
     """Gaussian-kernel density estimate of the flow state at time t."""
     if bandwidth is not None and np.any(np.asarray(bandwidth) <= 0):
         raise ValueError("bandwidth must be positive")
@@ -180,8 +174,7 @@ def estimate_density(kernel: CovKernel, vf: VectorFieldSystem, z0, t: float,
         normalization = float("nan")
     return DensityEstimate(y_grid=y_arr, p=p, se=se, bandwidth=h,
                            n_paths=n_paths, t=float(t),
-                           normalization=normalization,
-                           samples=terminal if keep_samples else None)
+                           normalization=normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +397,9 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     s_idx = min(converged, key=lambda s: (energy[s], s))
     h_opt = CMElement(kernel, nodes, c[s_idx].reshape(m, d))
     # the winner's last linearization already carries its skeleton flow
-    skeleton = SkeletonFlow(grid=grid, phi=phi[s_idx], J=jac[s_idx],
-                            Jinv=np.linalg.inv(jac[s_idx]), z0=phi[s_idx, 0])
+    skeleton = FlowState(grid=grid, Z=phi[s_idx], J=jac[s_idx],
+                         Jinv=np.linalg.inv(jac[s_idx]), z0=phi[s_idx, 0],
+                         eps=1.0)
     gamma = deterministic_malliavin_matrix(h_opt, vf, z0, kernel, grid,
                                            skeleton=skeleton)
     return RateFunctionResult(
@@ -507,8 +501,7 @@ def first_variation_samples(h: CMElement, kernel: CovKernel,
     shape (n_paths, n); mean 0 and covariance the deterministic matrix."""
     flow = skeleton if skeleton is not None else solve_skeleton(
         h, vf, z0, grid)
-    w = np.einsum("ab,sbc,scd->sad", flow.J[-1], flow.Jinv[:-1],
-                  vf.v(flow.phi[:-1]))
+    w = derivative_kernel(flow, vf, grid.n_steps).values[:-1]
     out = np.empty((n_paths, vf.n))
     chol = cholesky_factor(kernel, grid)
     for off, size in _chunk_ranges(n_paths):

@@ -86,12 +86,6 @@ def mixed_variation_refinement(kernel: CovKernel, rect, gamma: float,
     return fine, half
 
 
-def two_d_rho_variation(kernel: CovKernel, rect, rho: float,
-                        grid: TimeGrid) -> float:
-    """2D rho-variation, the gamma = rho diagonal of the mixed variation."""
-    return mixed_variation(kernel, rect, rho, rho, grid)
-
-
 def kappa(kernel: CovKernel, s: float, t: float, grid: TimeGrid,
           cells: np.ndarray | None = None) -> float:
     """kappa_{s,t} = sqrt(V_{1,rho}(R; [s,t]^2)) with the kernel's rho."""
@@ -122,11 +116,11 @@ def q_embedding(rho: float) -> float:
 class SignScan:
     passed: bool
     worst: float
-    witness: tuple[float, float, float, float] | None
+    witness: tuple[float, float, float, float]
 
     def to_json(self):
         return {"pass": self.passed, "worst": self.worst,
-                "witness": list(self.witness) if self.witness else None}
+                "witness": list(self.witness)}
 
 
 @dataclass
@@ -177,15 +171,17 @@ class HypothesisReport:
 
 
 def _scan_negative_correlation(g: np.ndarray):
-    """Max of E[dX_{t1 t2} dX_{t3 t4}] over node quadruples t1<t2<=t3<t4.
+    """Max of E[dX_{t1 t2} dX_{t3 t4}] over node quadruples t1<t2<=t3<t4,
+    with the lexicographically first (i1, i2, i3, i4) attaining it.
 
     For a fixed increment [t1, t2] the value is D[t4] - D[t3] with
     D = G[t2] - G[t1], so each (t1, t2) row reduces to a running-minimum
-    scan.
+    scan.  The witness comes from the first i1 block and its first row
+    reaching the maximum; a suffix max over that row gives (i3, i4).
     """
     m = g.shape[0]
     idx = np.arange(m)
-    worst = -np.inf
+    worst, best = -np.inf, None
     for i1 in range(m - 2):
         d = g[i1 + 1:, :] - g[i1, :]          # rows i2 = i1+1 .. m-1
         i2s = idx[i1 + 1:]
@@ -193,61 +189,43 @@ def _scan_negative_correlation(g: np.ndarray):
         premin = np.minimum.accumulate(masked, axis=1)
         cand = d[:, 1:] - premin[:, :-1]      # candidate at i4 = column+1
         valid = idx[None, 1:] > i2s[:, None]  # need i4 > i3 >= i2
-        cand = np.where(valid, cand, -np.inf)
-        block = cand.max(initial=-np.inf)
+        rows = np.where(valid, cand, -np.inf).max(axis=1)
+        block = rows.max()
         if block > worst:
-            worst = block
-    return worst
-
-
-def _witness_negative_correlation(g: np.ndarray, worst: float, nodes):
-    m = g.shape[0]
-    for i1 in range(m - 2):
-        for i2 in range(i1 + 1, m - 1):
-            d = g[i2, :] - g[i1, :]
-            block = d[None, i2 + 1:] - d[i2:-1, None]
-            block = np.where(np.arange(i2 + 1, m)[None, :]
-                             > np.arange(i2, m - 1)[:, None], block, -np.inf)
-            hits = np.argwhere(block == worst)
-            if hits.size:
-                i3, i4 = hits[0]
-                return (nodes[i1], nodes[i2], nodes[i2 + i3], nodes[i2 + 1 + i4])
-    return None
+            r = int(np.argmax(rows == block))
+            worst, best = block, (i1, i1 + 1 + r, d[r])
+    i1, i2, row = best
+    sufmax = np.maximum.accumulate(row[::-1])[::-1]   # max over i4 >= index
+    i3 = i2 + int(np.argmax(sufmax[i2 + 1:] - row[i2:-1] == worst))
+    i4 = i3 + 1 + int(np.argmax(row[i3 + 1:] - row[i3] == worst))
+    return worst, (i1, i2, i3, i4)
 
 
 def _scan_diagonal_dominance(g: np.ndarray):
     """Min of E[dX_{t2 t3} dX_{t1 t4}] over nested quadruples
-    t1<=t2<t3<=t4; the value is D[t4] - D[t1] with D = G[t3] - G[t2]."""
+    t1<=t2<t3<=t4, with the lexicographically first (i1, i2, i3, i4)
+    attaining it; the value is D[t4] - D[t1] with D = G[t3] - G[t2].
+
+    Each i2 block keeps its first i1 reaching the block minimum, so a later
+    block with the same minimum wins only with a smaller i1.
+    """
     m = g.shape[0]
-    worst = np.inf
+    worst, best = np.inf, None
     for i2 in range(m - 1):
         d = g[i2 + 1:, :] - g[i2, :]          # rows i3 = i2+1 .. m-1
         i3s = np.arange(i2 + 1, m)
         masked = np.where(np.arange(m)[None, :] >= i3s[:, None], d, np.inf)
         sufmin = masked.min(axis=1)           # min over i4 >= i3, per row
-        prefmax = d[:, :i2 + 1].max(axis=1)   # max over i1 <= i2, per row
-        block = (sufmin - prefmax).min()
-        if block < worst:
-            worst = block
-    return worst
-
-
-def _witness_diagonal_dominance(g: np.ndarray, worst: float, nodes):
-    m = g.shape[0]
-    for i1 in range(m - 1):
-        for i2 in range(i1, m - 1):
-            # block over inner intervals (i3, i4) with i2 < i3 <= i4
-            d4 = g[i2 + 1:, :] - g[i2, :]     # rows i3
-            block = d4[:, i2 + 1:]            # columns i4 = i2+1 .. m-1
-            block = block - (g[i2 + 1:, i1] - g[i2, i1])[:, None]
-            block = np.where(np.arange(i2 + 1, m)[None, :]
-                             >= np.arange(i2 + 1, m)[:, None], block, np.inf)
-            hits = np.argwhere(block == worst)
-            if hits.size:
-                i3, i4 = hits[0]
-                return (nodes[i1], nodes[i2], nodes[i2 + 1 + i3],
-                        nodes[i2 + 1 + i4])
-    return None
+        vals = sufmin[:, None] - d[:, :i2 + 1]    # per (i3, i1 <= i2)
+        cols = vals.min(axis=0)
+        i1 = int(np.argmin(cols))
+        block = cols[i1]
+        if block < worst or (block == worst and i1 < best[0]):
+            r = int(np.argmax(vals[:, i1] == block))
+            worst, best = block, (i1, i2, i2 + 1 + r, d[r])
+    i1, i2, i3, row = best
+    i4 = i3 + int(np.argmax(row[i3:] - row[i1] == worst))
+    return worst, (i1, i2, i3, i4)
 
 
 def _solve_psd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -333,13 +311,13 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
     cells = g[1:, 1:] - g[1:, :-1] - g[:-1, 1:] + g[:-1, :-1]
     scale = max(kernel.sigma_sq0(grid.horizon), 1e-30)
 
-    worst_nc = _scan_negative_correlation(g)
+    worst_nc, wit_nc = _scan_negative_correlation(g)
     nc = SignScan(passed=bool(worst_nc <= tol * scale), worst=float(worst_nc),
-                  witness=_witness_negative_correlation(g, worst_nc, nodes))
+                  witness=tuple(nodes[list(wit_nc)]))
 
-    worst_dd = _scan_diagonal_dominance(g)
+    worst_dd, wit_dd = _scan_diagonal_dominance(g)
     dd = SignScan(passed=bool(worst_dd >= -tol * scale), worst=float(worst_dd),
-                  witness=_witness_diagonal_dominance(g, worst_dd, nodes))
+                  witness=tuple(nodes[list(wit_dd)]))
 
     lo, hi, fallback = _fit_window(grid)
     n = grid.n_steps

@@ -34,7 +34,6 @@ class TimeGrid:
     discrete objects."""
 
     nodes: np.ndarray
-    dyadic: bool = False
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -50,9 +49,7 @@ class TimeGrid:
     def regular(cls, n_steps: int, horizon: float = 1.0) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        nodes = np.linspace(0.0, horizon, n_steps + 1)
-        dyadic = n_steps > 0 and (n_steps & (n_steps - 1)) == 0
-        return cls(nodes=nodes, dyadic=dyadic)
+        return cls(nodes=np.linspace(0.0, horizon, n_steps + 1))
 
     @property
     def n_steps(self) -> int:
@@ -79,9 +76,7 @@ class TimeGrid:
         left = self.nodes[:-1]
         steps = np.diff(self.nodes)
         sub = left[:, None] + steps[:, None] * (np.arange(factor) / factor)
-        nodes = np.append(sub.ravel(), self.nodes[-1])
-        dyadic = self.dyadic and (factor & (factor - 1)) == 0
-        return TimeGrid(nodes=nodes, dyadic=dyadic)
+        return TimeGrid(nodes=np.append(sub.ravel(), self.nodes[-1]))
 
     def index_of(self, t: float) -> int:
         idx = int(np.searchsorted(self.nodes, t))
@@ -254,7 +249,29 @@ class SumFractionalBrownian(StationaryKernel):
                   "T": horizon, "rho": rho})
 
 
-class FourierKernel(CovKernel):
+class RecenteredStationary(CovKernel):
+    """Stationary process re-centered to start at zero:
+    R(s, t) = K(0) - K(s) - K(t) + K(|t - s|) for a stationary covariance K.
+
+    Subclasses supply the vectorized ``_K`` and ``_K0 = K(0)``; grids reuse
+    a small set of gaps, so K is evaluated once per unique point.
+    """
+
+    def _K(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _eval(self, s, t):
+        shape = s.shape
+        s, t = s.ravel(), t.ravel()
+        pts = np.concatenate([s, t, np.abs(t - s)])
+        uniq, inverse = np.unique(pts, return_inverse=True)
+        kv = self._K(uniq)[inverse]
+        m = s.size
+        out = self._K0 - kv[:m] - kv[m:2 * m] + kv[2 * m:]
+        return out.reshape(shape)
+
+
+class FourierKernel(RecenteredStationary):
     """Stationary random Fourier series on [0, 2*pi], re-centered to start
     at zero.
 
@@ -288,23 +305,11 @@ class FourierKernel(CovKernel):
             # tail bound: sum_{k > k_max} C k^(-(1+1/rho)) <= C rho k_max^(-1/rho)
             self.truncation_error = C * rho * self.k_max ** (-1.0 / rho)
         self._k = k
+        self._K0 = float(self.alpha_sq.sum())
         super().__init__(rho, horizon)
 
     def _K(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.cos(np.multiply.outer(x, self._k)) @ self.alpha_sq
-
-    def _eval(self, s, t):
-        shape = s.shape
-        s, t = s.ravel(), t.ravel()
-        k0 = float(self.alpha_sq.sum())
-        # grids reuse a small set of gaps: evaluate K on unique points only
-        pts = np.concatenate([s, t, np.abs(t - s)])
-        uniq, inverse = np.unique(pts, return_inverse=True)
-        kv = self._K(uniq)[inverse]
-        m = s.size
-        out = k0 - kv[:m] - kv[m:2 * m] + kv[2 * m:]
-        return out.reshape(shape)
 
     @property
     def label(self):
@@ -315,13 +320,13 @@ class FourierKernel(CovKernel):
                 "k_max": self.k_max, "T": self.horizon}
 
 
-class FractionalOU(CovKernel):
+class FractionalOU(RecenteredStationary):
     """Stationary process with the fractional Ornstein-Uhlenbeck spectral
     density, re-centered to start at zero.
 
     K(x) = 2 c_H * int_0^inf cos(x xi) xi^(1-2H) / (lambda^2 + xi^2) dxi,
     evaluated by adaptive quadrature with oscillatory weighting; values are
-    memoized because grids reuse a small set of gaps.
+    memoized per gap.
     """
 
     family = "fou"
@@ -365,12 +370,8 @@ class FractionalOU(CovKernel):
         self._cache[x] = out
         return out
 
-    def _eval(self, s, t):
-        shape = s.shape
-        s, t = s.ravel(), t.ravel()
-        K = np.vectorize(self._K_scalar)
-        out = self._K0 - K(s) - K(t) + K(np.abs(t - s))
-        return np.asarray(out, dtype=float).reshape(shape)
+    def _K(self, x: np.ndarray) -> np.ndarray:
+        return np.array([self._K_scalar(v) for v in x], dtype=float)
 
     @property
     def label(self):

@@ -160,11 +160,6 @@ class RoughPath2:
             scale = max(scale, float(np.abs(x2_sb).max()))
         return worst, scale
 
-    def to_json(self) -> dict:
-        return {"nodes": self.grid.nodes.tolist(),
-                "step1": self.step1.tolist(),
-                "step2": self.step2.tolist()}
-
 
 def lift(values: np.ndarray, grid: TimeGrid) -> RoughPath2:
     """Piecewise-linear level-2 lift of node ``values`` (n_nodes, d):

@@ -9,7 +9,7 @@ flow gives the deterministic matrix of the small-noise analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .fields import VectorFieldSystem
 from .kernels import CovKernel, TimeGrid
 from .lift import p_variation
 from .paths import CMElement, cm_eval
-from .rde import BatchFlow, FlowState, SkeletonFlow, solve_skeleton
+from .rde import BatchFlow, FlowState, solve_skeleton
 
 
 class HypothesisGateError(RuntimeError):
@@ -43,7 +43,6 @@ class MalliavinKernelTrace:
 class MalliavinMatrix:
     gamma: np.ndarray
     t: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -117,7 +116,7 @@ def _assemble(jinv: np.ndarray, v_along: np.ndarray, jt: np.ndarray,
     f = np.einsum("...sab,...sbd->...sad", jinv[..., :idx, :, :],
                   v_along[..., :idx, :, :])
     m = cells[:idx, :idx]
-    c = np.einsum("ij,...iad,...jbd->...ab", m, f, f)
+    c = np.einsum("ij,...iad,...jbd->...ab", m, f, f, optimize=True)
     gamma = np.einsum("...ab,...bc,...dc->...ad", jt, c, jt)
     return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
@@ -134,9 +133,7 @@ def malliavin_matrix(flow: FlowState, vf: VectorFieldSystem,
     m = cell_rect_matrix(kernel, flow.grid) if cells is None else cells
     gamma = (flow.eps ** 2) * _assemble(flow.Jinv, vf.v(flow.Z),
                                         flow.J[idx], m, idx)
-    return MalliavinMatrix(gamma=gamma, t=float(flow.grid.nodes[idx]),
-                           meta={"n_steps": flow.grid.n_steps,
-                                 "kernel": kernel.label})
+    return MalliavinMatrix(gamma=gamma, t=float(flow.grid.nodes[idx]))
 
 
 def malliavin_matrix_batch(batch: BatchFlow, vf: VectorFieldSystem,
@@ -154,18 +151,13 @@ def malliavin_matrix_batch(batch: BatchFlow, vf: VectorFieldSystem,
 def deterministic_malliavin_matrix(h: CMElement, vf: VectorFieldSystem, z0,
                                    kernel: CovKernel, grid: TimeGrid,
                                    refine_factor: int = 8,
-                                   skeleton: SkeletonFlow | None = None
+                                   skeleton: FlowState | None = None
                                    ) -> MalliavinMatrix:
-    """Deterministic Malliavin matrix of the skeleton terminal state."""
+    """Deterministic Malliavin matrix of the skeleton terminal state
+    (``skeleton``: the flow of h from `solve_skeleton`, if already solved)."""
     flow = skeleton if skeleton is not None else solve_skeleton(
         h, vf, z0, grid, refine_factor=refine_factor)
-    cells = cell_rect_matrix(kernel, grid)
-    idx = grid.n_steps
-    gamma = _assemble(flow.Jinv, vf.v(flow.phi), flow.J[idx], cells, idx)
-    return MalliavinMatrix(gamma=gamma, t=grid.horizon,
-                           meta={"n_steps": grid.n_steps,
-                                 "kernel": kernel.label,
-                                 "deterministic": True})
+    return malliavin_matrix(flow, vf, kernel, grid.n_steps)
 
 
 # ---------------------------------------------------------------------------

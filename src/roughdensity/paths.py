@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import cell_rect_matrix
 from .kernels import CovKernel, TimeGrid, kernel_from_spec
 
 
@@ -57,10 +58,6 @@ class PathEnsemble:
     seed: int
     kernel_spec: dict
     data: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.data
 
     def path(self, idx: int) -> np.ndarray:
         """Node values of one path, shape (n_nodes, d)."""
@@ -167,8 +164,6 @@ def step_inner(f: np.ndarray, g: np.ndarray, kernel: CovKernel,
                grid: TimeGrid, cells: np.ndarray | None = None) -> float:
     """2D Riemann-Stieltjes pairing of grid step functions against dR:
     sum_ij f_i g_j E[dX_i dX_j] with cell (left-endpoint) values."""
-    from .diagnostics import cell_rect_matrix
-
     m = cell_rect_matrix(kernel, grid) if cells is None else cells
     f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
     if f.ndim == 1:

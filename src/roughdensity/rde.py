@@ -158,15 +158,6 @@ def solve(rp: RoughPath2, vf: VectorFieldSystem, z0, eps: float = 1.0,
 # Skeleton ODE driven by Cameron-Martin elements
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SkeletonFlow:
-    grid: TimeGrid
-    phi: np.ndarray               # (N+1, n)
-    J: np.ndarray                 # (N+1, n, n)
-    Jinv: np.ndarray
-    z0: np.ndarray
-
-
 class SkeletonPropagator:
     """Batched terminal map of the skeleton ODE for elements on fixed nodes.
 
@@ -253,10 +244,12 @@ class SkeletonPropagator:
 
 
 def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0, grid: TimeGrid,
-                   refine_factor: int = 8) -> SkeletonFlow:
-    """Skeleton flow and its Jacobian for one Cameron-Martin element."""
+                   refine_factor: int = 8) -> FlowState:
+    """Skeleton flow phi (as Z, at unit driver scale) and its Jacobian for
+    one Cameron-Martin element."""
     prop = SkeletonPropagator(h.kernel, vf, grid, h.nodes,
                               refine_factor=refine_factor)
     phi, jac = prop.propagate(h.coeffs[None], z0, with_jacobian=True)
-    return SkeletonFlow(grid=grid, phi=phi[0], J=jac[0],
-                        Jinv=np.linalg.inv(jac[0]), z0=_as_state(z0, vf.n))
+    return FlowState(grid=grid, Z=phi[0], J=jac[0],
+                     Jinv=np.linalg.inv(jac[0]), z0=_as_state(z0, vf.n),
+                     eps=1.0)

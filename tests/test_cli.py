@@ -91,6 +91,21 @@ def test_schema_violation_exits_2(tmp_path):
         validate_config({"kernel": {"family": "fbm"}, "experiment": "nope"})
 
 
+@pytest.mark.parametrize("patch", [
+    {"grid": {"nsteps": 256}},
+    {"vf": {"name": "identity", "parms": {"n": 1}}},
+    {"kernel": {"family": "fbm", "H": 0.5, "hurst": 0.4}},
+    {"grid": {"n_steps": 32, "dyadic": True}},
+    {"thresholds": {"alpha_window": 0.5}},
+], ids=["grid.nsteps", "vf.parms", "kernel.hurst", "grid.dyadic",
+        "thresholds.alpha_window"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, patch):
+    cfg = write_config(tmp_path, {**DENSITY_SMALL, **patch})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_bad_worker_env_exits_2(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, HYP_OK)
     monkeypatch.setenv("ROUGHDENSITY_WORKERS", "two")

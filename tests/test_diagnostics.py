@@ -3,7 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from _gate_oracle import oracle_scans
 from roughdensity.diagnostics import (
+    _scan_diagonal_dominance,
+    _scan_negative_correlation,
     cell_rect_matrix,
     check_hypotheses,
     conditional_variance,
@@ -13,12 +16,12 @@ from roughdensity.diagnostics import (
     mixed_variation_refinement,
     q_embedding,
     stationary_valid_horizon,
-    two_d_rho_variation,
 )
 from roughdensity.kernels import (
     BiFractionalBrownian,
     FourierKernel,
     FractionalBrownian,
+    FractionalOU,
     SumFractionalBrownian,
     TimeGrid,
     brownian,
@@ -97,14 +100,6 @@ def test_lower_bounds_brute_force_supremum_for_general_exponents():
             sup = brute_force_mixed_variation(kernel, grid.nodes, gamma, rho)
             assert got <= sup + 1e-12
             assert got >= 0.6 * sup
-
-
-def test_mixed_equals_2d_variation_when_gamma_is_rho():
-    grid = TimeGrid.regular(16)
-    k = FractionalBrownian(0.4)
-    a = mixed_variation(k, (0, 1, 0, 1), 1.25, 1.25, grid)
-    b = two_d_rho_variation(k, (0, 1, 0, 1), 1.25, grid)
-    assert a == b
 
 
 def test_monotone_under_dyadic_refinement():
@@ -217,6 +212,27 @@ def test_witnesses_are_lexicographically_first():
     assert rep.negative_correlation.worst == 0.0
     assert rep.negative_correlation.witness == pytest.approx(
         (0.0, 0.125, 0.125, 0.25))
+
+
+def test_diagonal_dominance_witness_is_lexicographically_first():
+    # Brownian on dyadic nodes: the nested value E[dX_{t2 t3} dX_{t1 t4}] is
+    # t3 - t2 exactly, so the worst 1/8 is attained by every quadruple with
+    # adjacent t2 < t3; the first of them is (0, 0, 1/8, 1/8).
+    rep = check_hypotheses(brownian(), TimeGrid.regular(8))
+    assert rep.diagonal_dominance.worst == 0.125
+    assert rep.diagonal_dominance.witness == (0.0, 0.0, 0.125, 0.125)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_sign_scan_witnesses_match_oracle(n):
+    kernels = small_catalog() + [FractionalBrownian(0.7)]
+    if n <= 64:
+        kernels.append(FractionalOU(0.4, 1.0))
+    nodes = TimeGrid.regular(n).nodes
+    for kernel in kernels:
+        g = kernel.gram(nodes)
+        assert (_scan_negative_correlation(g),
+                _scan_diagonal_dominance(g)) == oracle_scans(g)
 
 
 def test_valid_horizon_for_stationary_families():

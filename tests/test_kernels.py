@@ -148,10 +148,10 @@ def test_fou_variance_scales_like_t_2h():
 
 def test_grid_construction_and_refine():
     grid = TimeGrid.regular(8, horizon=2.0)
-    assert grid.dyadic and grid.n_steps == 8
+    assert grid.n_steps == 8
     assert grid.mesh == pytest.approx(0.25)
     fine = grid.refine(2)
-    assert fine.n_steps == 16 and fine.dyadic
+    assert fine.n_steps == 16
     np.testing.assert_allclose(fine.nodes[::2], grid.nodes)
     with pytest.raises(ValueError):
         TimeGrid(nodes=np.array([0.1, 0.5, 1.0]))
@@ -160,3 +160,15 @@ def test_grid_construction_and_refine():
     assert grid.index_of(0.5) == 2
     with pytest.raises(ValueError):
         grid.index_of(0.3)
+
+
+@pytest.mark.parametrize("kern", [FourierKernel(rho=1.25, k_max=512),
+                                  FractionalOU(0.4, 1.0)],
+                         ids=["fourier", "fou"])
+def test_recentered_gram_is_elementwise_formula(kern):
+    # K once per unique gap gives exactly K(0) - K(s) - K(t) + K(|t - s|)
+    nodes = TimeGrid.regular(16).nodes
+    s, t = np.meshgrid(nodes, nodes, indexing="ij")
+    K = lambda x: kern._K(x.ravel()).reshape(x.shape)
+    want = kern._K0 - K(s) - K(t) + K(np.abs(t - s))
+    assert np.array_equal(kern.gram(nodes), want)

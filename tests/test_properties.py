@@ -3,6 +3,11 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from _gate_oracle import oracle_scans
+from roughdensity.diagnostics import (
+    _scan_diagonal_dominance,
+    _scan_negative_correlation,
+)
 from roughdensity.kernels import (
     BiFractionalBrownian,
     FractionalBrownian,
@@ -75,3 +80,25 @@ def test_power_of_two_scaling_is_bitwise(eps_pow, seed):
     relift = lift(eps * vals, grid)
     assert np.array_equal(scaled.step1, relift.step1)
     assert np.array_equal(scaled.step2, relift.step2)
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """Symmetric m x m, m in [5, 12], entries in {-2..2}, optionally plus
+    {-2..2} x 2^-52 so that subtractions round distinct values together."""
+    m = draw(st.integers(min_value=5, max_value=12))
+    ints = st.lists(st.integers(min_value=-2, max_value=2),
+                    min_size=m * m, max_size=m * m)
+    a = np.asarray(draw(ints), dtype=float).reshape(m, m)
+    a += draw(st.sampled_from([0.0, 2.0 ** -52])) * np.asarray(
+        draw(ints), dtype=float).reshape(m, m)
+    return np.triu(a) + np.triu(a, 1).T
+
+
+@given(g=symmetric_int_matrices())
+@settings(max_examples=1000, deadline=None)
+def test_sign_scans_match_oracle_on_dense_ties(g):
+    # small integer entries tie on many quadruples: the witness must still
+    # be the oracle's lexicographically first one
+    assert (_scan_negative_correlation(g),
+            _scan_diagonal_dominance(g)) == oracle_scans(g)

@@ -200,9 +200,9 @@ def test_skeleton_zero_element_is_drift_flow():
     grid = TimeGrid.regular(64)
     h = CMElement(k, [0.5], [0.0])
     flow = solve_skeleton(h, identity_field(1), z0=[0.7], grid=grid)
-    np.testing.assert_allclose(flow.phi, 0.7 * np.ones((65, 1)), atol=1e-12)
+    np.testing.assert_allclose(flow.Z, 0.7 * np.ones((65, 1)), atol=1e-12)
     flow2 = solve_skeleton(h, linear_drift_field(-1.0), z0=[2.0], grid=grid)
-    np.testing.assert_allclose(flow2.phi[-1, 0], 2.0 * np.exp(-1.0),
+    np.testing.assert_allclose(flow2.Z[-1, 0], 2.0 * np.exp(-1.0),
                                rtol=1e-9)
 
 
@@ -212,7 +212,7 @@ def test_skeleton_additive_terminal_is_trace():
     h = CMElement(k, [0.3, 1.0], [0.8, -0.4])
     flow = solve_skeleton(h, identity_field(1), z0=[0.25], grid=grid)
     want = 0.25 + cm_eval(h, 1.0)[0]
-    assert flow.phi[-1, 0] == pytest.approx(want, rel=1e-9)
+    assert flow.Z[-1, 0] == pytest.approx(want, rel=1e-9)
 
 
 def test_skeleton_linear_field_exponential():
@@ -221,9 +221,9 @@ def test_skeleton_linear_field_exponential():
     h = CMElement(k, [1.0], [0.9])
     flow = solve_skeleton(h, scalar_linear_field(1.0), z0=[1.0], grid=grid)
     want = np.exp(cm_eval(h, 1.0)[0])
-    assert flow.phi[-1, 0] == pytest.approx(want, rel=1e-8)
+    assert flow.Z[-1, 0] == pytest.approx(want, rel=1e-8)
     # Jacobian of the scalar linear skeleton equals the flow ratio
-    np.testing.assert_allclose(flow.J[:, 0, 0], flow.phi[:, 0], rtol=1e-8)
+    np.testing.assert_allclose(flow.J[:, 0, 0], flow.Z[:, 0], rtol=1e-8)
 
 
 def test_skeleton_propagator_batches_match_single():
@@ -238,7 +238,7 @@ def test_skeleton_propagator_batches_match_single():
     for b in range(5):
         h = CMElement(k, nodes, coeffs[b])
         flow = solve_skeleton(h, vf, z0=[0.1], grid=grid)
-        assert batch[b, 0] == pytest.approx(flow.phi[-1, 0], rel=1e-12)
+        assert batch[b, 0] == pytest.approx(flow.Z[-1, 0], rel=1e-12)
 
 
 @pytest.mark.parametrize("vf, z0", [
