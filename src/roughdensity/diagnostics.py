@@ -3,7 +3,10 @@
 Everything here reduces to the matrix of per-cell rectangular increments
 ``M[i, j] = E[dX_i dX_j]``: mixed variations, the kappa/eta coefficients,
 sign scans over quadruples of grid nodes, and conditional-variance
-estimates for the non-determinism index.
+estimates for the non-determinism index.  The hypothesis gate factors M
+once: with Q = M^-1, the variance of a window's increment given every
+increment outside it is Var(1^T dX_I | dX_O) = 1^T (Q_II)^-1 1, so each
+window costs only a solve of its own size.
 
 Variation suprema are taken over dissections that are sub-grids of the
 given grid: the inner axis keeps the finest dissection (optimal for inner
@@ -19,13 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import linalg
 
-from .kernels import CovKernel, TimeGrid
-
-
-class DegenerateKernelError(RuntimeError):
-    """Gram matrix of grid increments stayed singular after jitter."""
+from .kernels import CovKernel, TimeGrid, jitter_cholesky
 
 
 def cell_rect_matrix(kernel: CovKernel, grid: TimeGrid) -> np.ndarray:
@@ -228,44 +228,52 @@ def _scan_diagonal_dominance(g: np.ndarray):
     return worst, (i1, i2, i3, i4)
 
 
-def _solve_psd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with escalating jitter; raises DegenerateKernelError."""
-    base = np.trace(mat) / mat.shape[0]
-    jitter = 0.0
-    for _ in range(6):
-        try:
-            cf = linalg.cho_factor(mat + jitter * np.eye(mat.shape[0]),
-                                   lower=True)
-            return linalg.cho_solve(cf, rhs)
-        except linalg.LinAlgError:
-            jitter = 1e-12 * base if jitter == 0.0 else jitter * 10
-            if jitter > 1e-7 * base:
-                break
-    raise DegenerateKernelError("increment Gram matrix singular after jitter")
+def _window_fits(cells: np.ndarray, starts: np.ndarray, widths: np.ndarray,
+                 rho: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Var(1^T dX_I | dX_O) over the cells O outside I (an upper bound on
+    the continuous-time conditional variance) and V_{1,rho}(R; I^2) of every
+    window I = [starts, starts + widths), and the jitter M's factor needed.
 
+    Windows starting at cell ia are leading blocks of Q_[ia, ia + w_max),
+    so with L its Cholesky factor and y = L^-1 1, 1^T (Q_II)^-1 1 for
+    width w is sum_{r < w} y_r^2.  The outer DP of `_outer_dp`
+    reads A(J) = S[ib, j, l] - S[ia, j, l] from the row-prefix sums
+    S[k, j, l] = sum_{i < k} |C[i, j + l] - C[i, j]| of the column cumsum
+    C of M, and runs over every window of one width at once.
+    """
+    n, w_max = cells.shape[0], int(widths.max())
+    chol, jitter = jitter_cholesky(cells)
+    linv = linalg.solve_triangular(chol, np.eye(n), lower=True)
+    q = np.eye(n + w_max)          # identity padding past the last cell
+    q[:n, :n] = linv.T @ linv      # Gram form: PD even for near-singular M
+    lq = np.linalg.cholesky(as_strided(
+        q, (n, w_max, w_max), (q.strides[0] + q.strides[1],) + q.strides,
+        writeable=False))
+    y = np.linalg.solve(lq, np.ones((n, w_max, 1)))[..., 0]
+    cond_vars = np.cumsum(y * y, axis=1)[starts, widths - 1]
 
-def conditional_variance(kernel: CovKernel, grid: TimeGrid, ia: int, ib: int,
-                         cells: np.ndarray | None = None) -> float:
-    """Var(dX_{t_ia, t_ib} | grid increments outside [t_ia, t_ib]), the
-    Gaussian projection residual (an upper bound on the continuous-time
-    conditional variance)."""
-    m = cell_rect_matrix(kernel, grid) if cells is None else cells
-    n = m.shape[0]
-    outside = np.r_[0:ia, ib:n]
-    y_var = float(m[ia:ib, ia:ib].sum())
-    if outside.size == 0:
-        return y_var
-    cov_yb = m[ia:ib, :][:, outside].sum(axis=0)
-    sigma_b = m[np.ix_(outside, outside)]
-    sol = _solve_psd(sigma_b, cov_yb)
-    return float(y_var - cov_yb @ sol)
-
-
-def _fit_window(grid: TimeGrid) -> tuple[float, float, bool]:
-    lo, hi = 4 * grid.mesh, grid.horizon / 4
-    if lo <= hi:
-        return lo, hi, False
-    return grid.mesh, grid.horizon / 2, True
+    c = np.zeros((n, n + 1 + w_max))
+    np.cumsum(cells, axis=1, out=c[:, 1:n + 1])
+    ahead = sliding_window_view(c, w_max + 1, axis=1)   # C[i, j + l]
+    s = np.zeros((n + 1, n + 1, w_max + 1))
+    for k in range(n):      # row by row: no second table-sized temporary
+        s[k + 1] = s[k] + np.abs(ahead[k, :n + 1] - c[k, :n + 1, None])
+    # [k, a, b] -> S[k + w, k + a, b - a] and S[k, k + a, b - a], read at a < b
+    sheared = (s.strides[0] + s.strides[1], s.strides[1] - s.strides[2],
+               s.strides[2])
+    v_vals = np.empty(starts.size)
+    for w in np.unique(widths):
+        sel = widths == w
+        ia = starts[sel]
+        shape = (n - w + 1, w, w + 1)
+        hi = as_strided(s[w:], shape, sheared, writeable=False)
+        lo = as_strided(s, shape, sheared, writeable=False)
+        best = np.zeros((ia.size, w + 1))
+        for b in range(1, w + 1):
+            area = hi[ia, :b, b] - lo[ia, :b, b]
+            best[:, b] = np.max(best[:, :b] + area ** rho, axis=1)
+        v_vals[sel] = best[:, w] ** (1.0 / rho)
+    return cond_vars, v_vals, jitter
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -303,6 +311,8 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
     conditional variance is taken against the grid increments outside each
     sub-interval; alpha is the log-log slope over lengths in
     [4*mesh, T/4] and c_X the minimum of condVar / length^alpha there.
+    ``details["cell_jitter"]`` is the jitter the factor of M needed (0 when
+    M is numerically positive definite).
     """
     if grid.n_steps < 4:
         raise ValueError("hypothesis scan needs at least 4 grid steps")
@@ -319,31 +329,21 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
     dd = SignScan(passed=bool(worst_dd >= -tol * scale), worst=float(worst_dd),
                   witness=tuple(nodes[list(wit_dd)]))
 
-    lo, hi, fallback = _fit_window(grid)
-    n = grid.n_steps
-
-    def collect(lo, hi):
-        out = [(ib - ia, ia, ib) for ia in range(n)
-               for ib in range(ia + 1, n + 1)
-               if lo <= nodes[ib] - nodes[ia] <= hi]
-        return out
-
-    spans = collect(lo, hi)
-    if len({w for w, _, _ in spans}) < 2:
+    starts, ends = np.triu_indices(grid.n_steps + 1, 1)
+    widths, lengths = ends - starts, nodes[ends] - nodes[starts]
+    lo, hi, fallback = 4 * grid.mesh, grid.horizon / 4, False
+    keep = (lo <= lengths) & (lengths <= hi)
+    if np.unique(widths[keep]).size < 2:
         lo, hi, fallback = grid.mesh, grid.horizon / 2, True
-        spans = collect(lo, hi)
-    pairs = [(ia, ib) for _, ia, ib in spans]
-    lengths = np.asarray([nodes[ib] - nodes[ia] for ia, ib in pairs])
-    cond_vars = [conditional_variance(kernel, grid, ia, ib, cells=cells)
-                 for ia, ib in pairs]
-    cond_vars = np.maximum(np.asarray(cond_vars), 1e-14 * scale)
+        keep = (lo <= lengths) & (lengths <= hi)
+    starts, widths, lengths = starts[keep], widths[keep], lengths[keep]
+    cond_vars, v_vals, cell_jitter = _window_fits(cells, starts, widths,
+                                                  kernel.rho)
+    cond_vars = np.maximum(cond_vars, 1e-14 * scale)
     alpha_hat, _ = _loglog_slope(lengths, cond_vars)
     c_x = float(np.min(cond_vars / lengths ** alpha_hat))
 
     # Hölder-controlled fit of V_{1,rho}([s,t]^2) on the same window.
-    v_vals = np.empty(len(pairs))
-    for k, (ia, ib) in enumerate(pairs):
-        v_vals[k] = _outer_dp(cells[ia:ib, ia:ib], 1.0, kernel.rho)
     h_exp, _ = _loglog_slope(lengths, np.maximum(v_vals, 1e-300))
     h_const = float(np.max(v_vals / lengths ** h_exp))
     holder = HolderFit(passed=bool(h_exp >= 1.0 / kernel.rho - 0.1),
@@ -370,7 +370,8 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
         details={
             "fit_window": [lo, hi],
             "window_fallback": fallback,
-            "n_fit_intervals": len(pairs),
+            "n_fit_intervals": int(starts.size),
+            "cell_jitter": cell_jitter,
             "sign_tolerance": tol * scale,
             "q_embedding": q_embedding(kernel.rho),
         },

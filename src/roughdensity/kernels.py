@@ -24,6 +24,18 @@ class QuadratureError(RuntimeError):
     """Spectral quadrature failed to reach the requested tolerance."""
 
 
+def jitter_cholesky(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``mat + jitter * I`` and the jitter it
+    needed: 0, then 1e-12 ... 1e-8 times trace/n."""
+    base, eye = float(np.trace(mat)) / mat.shape[0], np.eye(mat.shape[0])
+    for jitter in [0.0] + [base * 10.0 ** k for k in range(-12, -7)]:
+        try:
+            return np.linalg.cholesky(mat + jitter * eye), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError("covariance matrix not PSD after jitter")
+
+
 # Level-2 lifts only: declared rho must stay below 3/2.
 RHO_MAX = 1.5
 

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import cell_rect_matrix
-from .kernels import CovKernel, TimeGrid, kernel_from_spec
-
-
-class GramFactorizationError(RuntimeError):
-    """Grid Gram matrix could not be factorized even after jitter."""
+from .kernels import CovKernel, TimeGrid, jitter_cholesky, kernel_from_spec
 
 
 _MAGIC = b"RDPE"
@@ -35,17 +31,7 @@ def _stream_normals(seed: int, stream: int, n: int) -> np.ndarray:
 def cholesky_factor(kernel: CovKernel, grid: TimeGrid) -> np.ndarray:
     """Lower Cholesky factor of the Gram matrix on the interior nodes
     (t_0 = 0 is pinned to zero), with escalating jitter."""
-    g = kernel.gram(grid.nodes[1:])
-    base = np.trace(g) / g.shape[0]
-    jitter = 0.0
-    while True:
-        try:
-            return np.linalg.cholesky(g + jitter * np.eye(g.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * base if jitter == 0.0 else jitter * 10
-            if jitter > 1e-8 * base:
-                raise GramFactorizationError(
-                    f"Gram matrix of {kernel.label} not PSD after jitter")
+    return jitter_cholesky(kernel.gram(grid.nodes[1:]))[0]
 
 
 @dataclass

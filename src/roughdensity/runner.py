@@ -133,7 +133,7 @@ def _z0_from(config: dict, vf) -> list[float]:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _exp_hypotheses(config, kernel, grid, out_dir, workers):
+def _exp_hypotheses(config, kernel, grid, out_dir, workers, gate):
     rep = check_hypotheses(kernel, grid)
     etas = {}
     for frac in (0.25, 0.5, 1.0):
@@ -160,7 +160,7 @@ def _exp_hypotheses(config, kernel, grid, out_dir, workers):
     return result, criteria
 
 
-def _exp_sample(config, kernel, grid, out_dir, workers):
+def _exp_sample(config, kernel, grid, out_dir, workers, gate):
     n_paths = config.get("n_paths", 1000)
     d = config.get("d", 1)
     seed = config.get("seed", 0)
@@ -187,7 +187,7 @@ def _exp_sample(config, kernel, grid, out_dir, workers):
     return result, criteria
 
 
-def _exp_density(config, kernel, grid, out_dir, workers):
+def _exp_density(config, kernel, grid, out_dir, workers, gate):
     vf = _vf_from(config)
     z0 = _z0_from(config, vf)
     t = config.get("t", kernel.horizon)
@@ -215,7 +215,7 @@ def _exp_density(config, kernel, grid, out_dir, workers):
     return result, criteria
 
 
-def _exp_tails(config, kernel, grid, out_dir, workers):
+def _exp_tails(config, kernel, grid, out_dir, workers, gate):
     vf = _vf_from(config)
     z0 = _z0_from(config, vf)
     tau = config.get("t", kernel.horizon)
@@ -236,7 +236,7 @@ def _exp_tails(config, kernel, grid, out_dir, workers):
     return result, criteria
 
 
-def _exp_varadhan(config, kernel, grid, out_dir, workers):
+def _exp_varadhan(config, kernel, grid, out_dir, workers, gate):
     vf = _vf_from(config)
     z0 = _z0_from(config, vf)
     y_targets = config.get("y_targets")
@@ -275,10 +275,10 @@ def _exp_varadhan(config, kernel, grid, out_dir, workers):
     return {"targets": results, "files": ["varadhan.csv"]}, criteria
 
 
-def _exp_audit_interpolation(config, kernel, grid, out_dir, workers):
+def _exp_audit_interpolation(config, kernel, grid, out_dir, workers, gate):
     audit = interpolation_audit(kernel, grid,
                                 n_random_fns=config.get("n_paths", 100),
-                                seed=config.get("seed", 0))
+                                seed=config.get("seed", 0), report=gate)
     result = {"interpolation_audit": audit.to_json()}
     criteria = [
         {"name": "lower_chain", "pass": audit.lower_chain_failures == 0,
@@ -289,7 +289,7 @@ def _exp_audit_interpolation(config, kernel, grid, out_dir, workers):
     return result, criteria
 
 
-def _exp_audit_malliavin(config, kernel, grid, out_dir, workers):
+def _exp_audit_malliavin(config, kernel, grid, out_dir, workers, gate):
     vf = _vf_from(config)
     z0 = _z0_from(config, vf)
     seed = config.get("seed", 0)
@@ -376,7 +376,7 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
 
     try:
         result, criteria = _EXPERIMENTS[experiment](config, kernel, grid,
-                                                    out, workers)
+                                                    out, workers, gate_report)
     except (NonEllipticError, HypothesisGateError) as err:
         report = {"config": _jsonable(config), "experiment": experiment,
                   "pass": False, "error": str(err)}

@@ -1,16 +1,23 @@
-"""Slow reference for the sign scans of `check_hypotheses`: the scans as they
-were before they returned their own witness, and the two second passes that
-looked the witness up, kept as a test oracle.
+"""Slow references for `check_hypotheses`, kept as test oracles.
 
-Each witness pass walks (i1, i2) in lexicographic order, forms the whole
-(i3, i4) block of values with the scan's own arithmetic and returns the
-first quadruple of nodes whose value equals ``worst`` exactly (None if none
-does).
+Sign scans: the scans as they were before they returned their own witness,
+and the two second passes that looked the witness up.  Each witness pass
+walks (i1, i2) in lexicographic order, forms the whole (i3, i4) block of
+values with the scan's own arithmetic and returns the first quadruple of
+nodes whose value equals ``worst`` exactly (None if none does).
+
+Fit windows: the per-window path as it was before the gate factored the
+cell matrix once.  Each window's conditional variance is a fresh jittered
+Cholesky solve against the outside block, and each V_{1,rho} an independent
+outer DP on the window's own block.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import linalg
+
+from roughdensity.diagnostics import _outer_dp, cell_rect_matrix
 
 
 def scan_negative_correlation(g: np.ndarray) -> float:
@@ -94,3 +101,73 @@ def oracle_scans(g: np.ndarray):
     dd = scan_diagonal_dominance(g)
     return ((nc, witness_negative_correlation(g, nc, idx)),
             (dd, witness_diagonal_dominance(g, dd, idx)))
+
+
+def solve_psd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Cholesky solve with escalating jitter."""
+    base = np.trace(mat) / mat.shape[0]
+    jitter = 0.0
+    for _ in range(6):
+        try:
+            cf = linalg.cho_factor(mat + jitter * np.eye(mat.shape[0]),
+                                   lower=True)
+            return linalg.cho_solve(cf, rhs)
+        except linalg.LinAlgError:
+            jitter = 1e-12 * base if jitter == 0.0 else jitter * 10
+            if jitter > 1e-7 * base:
+                break
+    raise RuntimeError("increment Gram matrix singular after jitter")
+
+
+def conditional_variance(kernel, grid, ia: int, ib: int, cells=None) -> float:
+    """Var(dX_{t_ia, t_ib} | grid increments outside [t_ia, t_ib]), the
+    Gaussian projection residual."""
+    m = cell_rect_matrix(kernel, grid) if cells is None else cells
+    n = m.shape[0]
+    outside = np.r_[0:ia, ib:n]
+    y_var = float(m[ia:ib, ia:ib].sum())
+    if outside.size == 0:
+        return y_var
+    cov_yb = m[ia:ib, :][:, outside].sum(axis=0)
+    sigma_b = m[np.ix_(outside, outside)]
+    sol = solve_psd(sigma_b, cov_yb)
+    return float(y_var - cov_yb @ sol)
+
+
+def oracle_fit(kernel, grid):
+    """Per-window values {(ia, ib): (condVar, V_{1,rho})} on the gate's fit
+    window, and (c_X, alpha, Hölder exponent, Hölder constant) fitted from
+    them as `check_hypotheses` fits them."""
+    nodes, n = grid.nodes, grid.n_steps
+    cells = cell_rect_matrix(kernel, grid)
+    scale = max(kernel.sigma_sq0(grid.horizon), 1e-30)
+
+    def collect(lo, hi):
+        return [(ib - ia, ia, ib) for ia in range(n)
+                for ib in range(ia + 1, n + 1)
+                if lo <= nodes[ib] - nodes[ia] <= hi]
+
+    lo, hi = 4 * grid.mesh, grid.horizon / 4
+    if lo > hi:
+        lo, hi = grid.mesh, grid.horizon / 2
+    spans = collect(lo, hi)
+    if len({w for w, _, _ in spans}) < 2:
+        spans = collect(grid.mesh, grid.horizon / 2)
+    pairs = [(ia, ib) for _, ia, ib in spans]
+    lengths = np.asarray([nodes[ib] - nodes[ia] for ia, ib in pairs])
+    cvs = np.asarray([conditional_variance(kernel, grid, ia, ib, cells=cells)
+                      for ia, ib in pairs])
+    vs = np.asarray([_outer_dp(cells[ia:ib, ia:ib], 1.0, kernel.rho)
+                     for ia, ib in pairs])
+
+    def slope(y):
+        b, a = np.polyfit(np.log(lengths), np.log(y), 1)
+        return float(b), float(np.exp(a))
+
+    floored = np.maximum(cvs, 1e-14 * scale)
+    alpha, _ = slope(floored)
+    c_x = float(np.min(floored / lengths ** alpha))
+    h_exp, _ = slope(np.maximum(vs, 1e-300))
+    h_const = float(np.max(vs / lengths ** h_exp))
+    windows = {p: (cv, v) for p, cv, v in zip(pairs, cvs, vs)}
+    return windows, (c_x, alpha, h_exp, h_const)

@@ -209,11 +209,22 @@ def test_list_fixtures(capsys):
     assert "bounded_nonlinear" in out and "fbm" in out
 
 
-def test_audit_interpolation_experiment(tmp_path):
+def test_audit_interpolation_experiment(tmp_path, monkeypatch):
+    # The run's gate report feeds the audit: one hypothesis check per run.
+    calls = []
+    gate = roughdensity.diagnostics.check_hypotheses
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gate(*args, **kwargs)
+
+    for module in (roughdensity.runner, roughdensity.malliavin):
+        monkeypatch.setattr(module, "check_hypotheses", counted)
     config = {"kernel": {"family": "fbm", "H": 0.4, "T": 1.0},
               "grid": {"n_steps": 32}, "experiment": "audit-interpolation",
               "seed": 7, "n_paths": 25}
     assert run(config, str(tmp_path / "out")) == EXIT_PASS
+    assert len(calls) == 1
 
 
 def test_audit_malliavin_experiment(tmp_path):

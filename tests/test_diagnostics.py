@@ -3,13 +3,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from _gate_oracle import oracle_scans
+from _gate_oracle import oracle_fit, oracle_scans
 from roughdensity.diagnostics import (
     _scan_diagonal_dominance,
     _scan_negative_correlation,
+    _window_fits,
     cell_rect_matrix,
     check_hypotheses,
-    conditional_variance,
     eta,
     kappa,
     mixed_variation,
@@ -154,10 +154,12 @@ def test_q_embedding_below_two():
 def test_conditional_variance_brownian_exact():
     k = brownian()
     grid = TimeGrid.regular(16)
-    for ia, ib in ((0, 4), (3, 9), (5, 16)):
-        got = conditional_variance(k, grid, ia, ib)
-        want = grid.nodes[ib] - grid.nodes[ia]
-        assert got == pytest.approx(want, rel=1e-10)
+    starts, ends = np.array([0, 3, 5]), np.array([4, 9, 16])
+    got, _, jitter = _window_fits(cell_rect_matrix(k, grid), starts,
+                                  ends - starts, k.rho)
+    want = grid.nodes[ends] - grid.nodes[starts]
+    assert got == pytest.approx(want, rel=1e-10)
+    assert jitter == 0.0
 
 
 def test_check_hypotheses_brownian():
@@ -233,6 +235,50 @@ def test_sign_scan_witnesses_match_oracle(n):
         g = kernel.gram(nodes)
         assert (_scan_negative_correlation(g),
                 _scan_diagonal_dominance(g)) == oracle_scans(g)
+
+
+def fit_cases(n):
+    if n == "nonuniform":    # graded, and random (window fallback)
+        nodes = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 47))
+        grids = (TimeGrid(nodes=np.linspace(0.0, 1.0, 65) ** 1.5),
+                 TimeGrid(nodes=np.r_[0.0, nodes, 1.0]))
+        return [(k, g) for g in grids for k in (
+            FractionalBrownian(0.4), BiFractionalBrownian(0.45, 0.9))]
+    kernels = small_catalog() + [FractionalBrownian(0.7)]
+    if n <= 64:
+        kernels.append(FractionalOU(0.4, 1.0))
+    # At n = 128 the Fourier kernel's M is singular by aliasing; see
+    # test_gate_reports_cell_jitter.
+    return [(k, TimeGrid.regular(n)) for k in kernels
+            if not (n == 128 and isinstance(k, FourierKernel))]
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, "nonuniform"])
+def test_fit_windows_match_per_window_oracle(n):
+    for kernel, grid in fit_cases(n):
+        windows, fit = oracle_fit(kernel, grid)
+        ia, ib = np.asarray(list(windows)).T
+        cond_vars, v_vals, jitter = _window_fits(
+            cell_rect_matrix(kernel, grid), ia, ib - ia, kernel.rho)
+        want = np.asarray(list(windows.values()))
+        assert jitter == 0.0
+        np.testing.assert_allclose(cond_vars, want[:, 0], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(v_vals, want[:, 1], rtol=1e-10, atol=0)
+        rep = check_hypotheses(kernel, grid)
+        got = (rep.c_X_estimate, rep.alpha_estimate,
+               rep.holder_controlled.exponent, rep.holder_controlled.constant)
+        np.testing.assert_allclose(got, fit, rtol=1e-10, atol=0)
+        assert rep.details["n_fit_intervals"] == len(windows)
+
+
+def test_gate_reports_cell_jitter():
+    grid = TimeGrid.regular(128)
+    rep = check_hypotheses(FractionalBrownian(0.4), grid)
+    assert rep.details["cell_jitter"] == 0.0
+    # Truncated at k_max = 256, the Fourier kernel's cell matrix has
+    # eigenvalues down to -1.5e-14 on this grid.
+    rep = check_hypotheses(FourierKernel(rho=1.25, k_max=256), grid)
+    assert rep.details["cell_jitter"] > 0.0
 
 
 def test_valid_horizon_for_stationary_families():

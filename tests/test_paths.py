@@ -6,6 +6,7 @@ from roughdensity.kernels import (
     FractionalBrownian,
     TimeGrid,
     brownian,
+    jitter_cholesky,
 )
 from roughdensity.lift import p_variation
 from roughdensity.paths import (
@@ -67,6 +68,26 @@ def test_chunked_sampling_is_bit_identical():
              sample(k, grid, d=2, n_paths=3, seed=11, path_offset=7, chol=chol)]
     glued = np.concatenate([p.data for p in parts], axis=0)
     assert np.array_equal(whole.data, glued)
+
+
+def test_sampler_factor_is_numpy_cholesky():
+    # Sampled paths depend on every bit of the factor.
+    k = FractionalBrownian(0.4)
+    grid = TimeGrid.regular(256)
+    assert np.array_equal(cholesky_factor(k, grid),
+                          np.linalg.cholesky(k.gram(grid.nodes[1:])))
+
+
+def test_jitter_cholesky_ladder():
+    chol, jitter = jitter_cholesky(np.eye(3))
+    assert jitter == 0.0 and np.array_equal(chol, np.eye(3))
+    singular = np.ones((3, 3))          # rank one, trace/n = 1
+    chol, jitter = jitter_cholesky(singular)
+    assert 1e-12 <= jitter <= 1e-8
+    assert np.allclose(chol @ chol.T, singular + jitter * np.eye(3),
+                       rtol=0, atol=1e-14)
+    with pytest.raises(np.linalg.LinAlgError, match="after jitter"):
+        jitter_cholesky(np.diag([1.0, 1.0, -1.0]))
 
 
 def test_cm_reproducing_property():
