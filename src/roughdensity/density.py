@@ -207,11 +207,13 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def tail_fit(est: DensityEstimate, z0, rho: float,
              kappa_t: float) -> TailFit:
     """Regress -log p_hat(y) on |y - z0|^(1 + 1/rho) / kappa_t^2 over the
-    reliable window p_hat > 10 se; PASS iff slope > 0 and r^2 >= 0.9."""
+    reliable window p_hat > 10 se > 0 (an underflowed se of 0 marks a
+    point no sample reached, not a precise one); PASS iff slope > 0 and
+    r^2 >= 0.9."""
     y = np.atleast_2d(est.y_grid.T).T
     z0_arr = np.atleast_1d(np.asarray(z0, dtype=float))
     dist = np.linalg.norm(y - z0_arr, axis=1)
-    ok = (est.p > 10 * est.se) & (est.p > 0)
+    ok = (est.p > 10 * est.se) & (est.se > 0)
     if ok.sum() < 3:
         raise NoiseFloorError("reliable window is empty")
     u = dist[ok] ** (1.0 + 1.0 / rho) / kappa_t ** 2

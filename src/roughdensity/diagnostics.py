@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy import linalg
 
 from .kernels import CovKernel, TimeGrid, jitter_cholesky
 
@@ -243,7 +242,7 @@ def _window_fits(cells: np.ndarray, starts: np.ndarray, widths: np.ndarray,
     """
     n, w_max = cells.shape[0], int(widths.max())
     chol, jitter = jitter_cholesky(cells)
-    linv = linalg.solve_triangular(chol, np.eye(n), lower=True)
+    linv = np.linalg.inv(chol)
     q = np.eye(n + w_max)          # identity padding past the last cell
     q[:n, :n] = linv.T @ linv      # Gram form: PD even for near-singular M
     lq = np.linalg.cholesky(as_strided(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class ParameterError(ValueError):
@@ -365,6 +364,7 @@ class FractionalOU(RecenteredStationary):
         hit = self._cache.get(x)
         if hit is not None:
             return hit
+        from scipy.integrate import quad   # only this kernel needs scipy
         if x == 0.0:
             val, err = quad(self._density, 0.0, np.inf, epsabs=0.0,
                             epsrel=self.quad_rtol, limit=400)

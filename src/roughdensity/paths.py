@@ -20,6 +20,9 @@ from .kernels import CovKernel, TimeGrid, jitter_cholesky, kernel_from_spec
 
 _MAGIC = b"RDPE"
 _VERSION = 1
+# Names the stream layout of `sample`, recorded in every run's manifest; a
+# new layout is a new realization and needs a new id.
+RNG_SCHEME = "philox(key=seed<<64|path*d+component)"
 
 
 def _stream_normals(seed: int, stream: int, n: int) -> np.ndarray:

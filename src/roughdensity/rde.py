@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fields import VectorFieldSystem
 from .kernels import TimeGrid
@@ -158,13 +157,52 @@ def solve(rp: RoughPath2, vf: VectorFieldSystem, z0, eps: float = 1.0,
 # Skeleton ODE driven by Cameron-Martin elements
 # ---------------------------------------------------------------------------
 
+def _spline_derivative(x: np.ndarray, y: np.ndarray,
+                       t: np.ndarray) -> np.ndarray:
+    """Derivative at times ``t`` of the not-a-knot cubic spline through
+    each column of ``y`` (N+1, m) at nodes ``x``, shape (len(t), m).
+
+    The node slopes solve the spline's (N+1) x (N+1) tridiagonal system,
+    row for row the one scipy's ``CubicSpline`` solves; each interval is
+    then the cubic Hermite polynomial of its end values and slopes.
+    """
+    n = x.size
+    if n < 4:
+        raise ValueError("a not-a-knot spline needs at least four nodes")
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    a = np.zeros((n, n))
+    b = np.empty(y.shape)
+    i = np.arange(1, n - 1)
+    a[i, i - 1] = dx[1:]
+    a[i, i] = 2 * (dx[:-1] + dx[1:])
+    a[i, i + 1] = dx[:-1]
+    b[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x_1 and x_{N-1}
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    a[0, :2] = dx[1], d0
+    a[-1, -2:] = d1, dx[-2]
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b[-1] = (dx[-1] ** 2 * slope[-2]
+             + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    s = np.linalg.solve(a, b)
+    # interval k holds x_k <= t < x_{k+1}; the last node closes interval N-1
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+    h, u = dx[k, None], (t - x[k])[:, None]
+    curv = (s[k] + s[k + 1] - 2 * slope[k]) / h
+    return (s[k] + ((slope[k] - s[k]) / h - curv) * u * 2
+            + curv / h * (u * u) * 3)
+
+
 class SkeletonPropagator:
     """Batched terminal map of the skeleton ODE for elements on fixed nodes.
 
-    Traces are cubic-interpolated on an 8x (configurable) refined grid and
-    integrated by RK4; the trace is linear in the coefficients, so the
-    spline-derivative response of each node basis function is precomputed
-    once and reused for every evaluation and tangent.
+    Each basis trace R(s_m, .) is known at the grid nodes; its derivative
+    is that of the not-a-knot cubic spline through them (node slopes from
+    one linear solve, then the cubic Hermite derivative), taken at the RK4
+    stage times of an 8x (configurable) refined grid.  The trace is linear
+    in the coefficients, so these derivatives are computed once and reused
+    for every evaluation and tangent.
     """
 
     def __init__(self, kernel, vf: VectorFieldSystem, grid: TimeGrid,
@@ -179,11 +217,11 @@ class SkeletonPropagator:
         fine = grid.refine(refine_factor)
         self.fine_nodes = fine.nodes
         self.refine_factor = refine_factor
-        spline = CubicSpline(grid.nodes, self.basis.T, axis=0)
         stage_times = np.empty(2 * fine.n_steps + 1)
         stage_times[::2] = fine.nodes
         stage_times[1::2] = 0.5 * (fine.nodes[:-1] + fine.nodes[1:])
-        self.basis_dot = spline(stage_times, 1).T     # (m, 2*M+1)
+        self.basis_dot = _spline_derivative(grid.nodes, self.basis.T,
+                                            stage_times).T   # (m, 2*M+1)
 
     def propagate(self, coeffs: np.ndarray, z0, with_jacobian: bool = False,
                   with_tangent: bool = False):

@@ -3,14 +3,16 @@ directories out.
 
 Every run writes ``report.json`` (numbers and PASS flags, deterministic
 byte-for-byte for a fixed config and seed), plot-ready CSV files, and a
-``manifest.json`` with the config hash, seed and tool version.  Randomness
-flows exclusively from the config seed.
+``manifest.json`` with the config hash, seed, tool and numpy/scipy
+versions and the random-stream scheme.  Randomness flows exclusively from
+the config seed.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.metadata
 import importlib.resources
 import json
 import math
@@ -45,7 +47,8 @@ from .malliavin import (
     interpolation_audit,
     malliavin_matrix_batch,
 )
-from .paths import CMElement, cm_eval, cm_norm_sq, export_path_csv, sample, save_ensemble
+from .paths import (RNG_SCHEME, CMElement, cm_eval, cm_norm_sq,
+                    export_path_csv, sample, save_ensemble)
 from .rde import solve_batch
 
 EXIT_PASS = 0
@@ -407,7 +410,10 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
 def _emit(out: Path, config: dict, report: dict) -> None:
     manifest = {"config_hash": config_hash(config),
                 "seed": config.get("seed", 0),
-                "version": __version__}
+                "version": __version__,
+                "numpy": np.__version__,
+                "scipy": importlib.metadata.version("scipy"),
+                "rng_scheme": RNG_SCHEME}
     report = dict(report)
     report["manifest"] = manifest
     (out / "report.json").write_text(

@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ from roughdensity.kernels import TimeGrid, kernel_from_spec
 from roughdensity.lift import lift
 from roughdensity.malliavin import directional_derivative
 from roughdensity.paths import (
+    RNG_SCHEME,
     CMElement,
     cm_eval,
     cm_norm_sq,
@@ -179,6 +181,48 @@ def test_rerun_is_byte_identical_across_workers(tmp_path):
     out = tmp_path / "again"
     run(DENSITY_SMALL, str(out), workers=2)
     assert (out / "report.json").read_bytes() == blobs[0]
+
+
+def test_manifest_records_versions_and_rng_scheme(tmp_path):
+    blobs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert run(DENSITY_SMALL, str(out), workers=workers) == EXIT_PASS
+        blobs.append((out / "report.json").read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == importlib.metadata.version("scipy")
+        assert manifest["rng_scheme"] == RNG_SCHEME
+        assert json.loads(blobs[-1])["manifest"] == manifest
+    assert blobs[0] == blobs[1]
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+import roughdensity.cli
+from roughdensity.density import rate_function
+from roughdensity.fields import identity_field
+from roughdensity.kernels import FractionalBrownian, FractionalOU, TimeGrid
+from roughdensity.runner import run
+assert run(json.loads(sys.argv[1]), sys.argv[2]) == 0
+rate_function([0.5], FractionalBrownian(0.4), identity_field(1), [0.0],
+              grid=TimeGrid.regular(32), m_nodes=4, n_starts=1)
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+FractionalOU(0.4, 1.0)
+print(json.dumps([loaded, "scipy.integrate" in sys.modules]))
+"""
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # a hypotheses run and a rate-function solve (a SkeletonPropagator)
+    # load no scipy module; the fOU kernel's quadrature does
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(HYP_OK),
+         str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, fou_loads_quad = json.loads(proc.stdout)
+    assert loaded == []
+    assert fou_loads_quad
 
 
 def test_config_hash_stable_under_key_order():

@@ -130,6 +130,21 @@ def test_tail_fit_empty_window_errors():
         tail_fit(est, [0.0], rho=1.0, kappa_t=1.0)
 
 
+def test_tail_fit_window_excludes_underflowed_se():
+    # Outside the support of tanh(N(0, 1)) every kernel weight squares to
+    # zero, so se underflows to 0 while p is still subnormal or tiny.
+    x = np.tanh(np.random.default_rng(1).standard_normal(200_000))
+    h = silverman_bandwidth(x)
+    y = np.linspace(x.mean() - 6 * x.std(), x.mean() + 6 * x.std(), 512)
+    p, se = kde_evaluate(x, y, h)
+    underflowed = (se == 0) & (p > 0)
+    assert underflowed.sum() == 76
+    est = DensityEstimate(y_grid=y, p=p, se=se, bandwidth=h,
+                          n_paths=x.size, t=1.0, normalization=1.0)
+    fit = tail_fit(est, [0.0], rho=1.0, kappa_t=1.0)
+    assert fit.n_window == ((p > 10 * se) & (p > 0)).sum() - 76
+
+
 def _zero_field():
     z = lambda x: np.zeros_like(x)
     zmat = lambda x, *s: np.zeros(x.shape[:-1] + s)

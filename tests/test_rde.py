@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from roughdensity.fields import (
     bounded_nonlinear_field,
@@ -275,3 +276,31 @@ def test_skeleton_tangent_leaves_jacobian_unchanged():
                                    with_tangent=True)
     np.testing.assert_array_equal(phi, phi2)
     np.testing.assert_allclose(jac2, jac, rtol=1e-13, atol=1e-15)
+
+
+def spline_grids():
+    random_nodes = np.sort(np.random.default_rng(31).uniform(0.0, 1.0, 39))
+    return [TimeGrid.regular(n) for n in (4, 16, 64, 256)] + [
+        TimeGrid(nodes=np.linspace(0.0, 1.0, 49) ** 1.5),
+        TimeGrid(nodes=np.r_[0.0, random_nodes, 1.0])]
+
+
+@pytest.mark.parametrize("grid", spline_grids(),
+                         ids=["n4", "n16", "n64", "n256", "graded", "random"])
+@pytest.mark.parametrize("kernel", [FractionalBrownian(0.4), brownian()],
+                         ids=["fbm0.4", "brownian"])
+def test_basis_dot_matches_scipy_cubic_spline(kernel, grid):
+    nodes = np.linspace(1 / 6, 1.0, 6)
+    prop = SkeletonPropagator(kernel, identity_field(1), grid, nodes)
+    fine = grid.refine(8)
+    stage_times = np.sort(np.r_[fine.nodes,
+                                0.5 * (fine.nodes[:-1] + fine.nodes[1:])])
+    want = CubicSpline(grid.nodes, prop.basis.T, axis=0)(stage_times, 1).T
+    assert prop.basis_dot.shape == want.shape
+    assert np.abs(prop.basis_dot - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_skeleton_needs_four_grid_nodes():
+    with pytest.raises(ValueError, match="four nodes"):
+        SkeletonPropagator(brownian(), identity_field(1), TimeGrid.regular(2),
+                           np.array([0.5, 1.0]))
