@@ -1,9 +1,12 @@
 """Exact Gaussian sampling on a grid and Cameron-Martin arithmetic.
 
 Sampling shares one Cholesky factor of the grid Gram matrix across paths
-and components; randomness comes from counter-based streams keyed by
+and components; randomness comes from counter-based Philox streams keyed by
 (seed, path index, component), so ensembles are bit-identical no matter how
-path ranges are chunked across workers.
+path ranges are chunked across workers.  Each `sample` call builds one
+Philox generator and re-keys it per stream (counter and buffers reset), which
+draws the same numbers as a fresh ``Philox(key=...)`` per stream without its
+per-construction seeding cost.
 """
 
 from __future__ import annotations
@@ -25,10 +28,7 @@ _VERSION = 1
 RNG_SCHEME = "philox(key=seed<<64|path*d+component)"
 
 
-def _stream_normals(seed: int, stream: int, n: int) -> np.ndarray:
-    """Standard normals from a Philox stream keyed by (seed, stream)."""
-    key = (int(seed) & ((1 << 64) - 1)) << 64 | (int(stream) & ((1 << 64) - 1))
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+_MASK64 = (1 << 64) - 1
 
 
 def cholesky_factor(kernel: CovKernel, grid: TimeGrid) -> np.ndarray:
@@ -67,10 +67,20 @@ def sample(kernel: CovKernel, grid: TimeGrid, d: int = 1, n_paths: int = 1,
     L = cholesky_factor(kernel, grid) if chol is None else chol
     n = grid.n_steps
     z = np.empty((n_paths, d, n))
-    for p in range(n_paths):
-        for c in range(d):
-            stream = (path_offset + p) * d + c
-            z[p, c, :] = _stream_normals(seed, stream, n)
+    # Stream (path, component) is Philox with key words [stream, seed] from
+    # counter zero; the generator is local because pool threads call this.
+    key = [0, int(seed) & _MASK64]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    rows = z.reshape(n_paths * d, n)
+    for r in range(n_paths * d):
+        key[0] = (path_offset * d + r) & _MASK64
+        bitgen.state = state
+        gen.standard_normal(out=rows[r])
     data = np.zeros((n_paths, d, n + 1))
     data[:, :, 1:] = z @ L.T
     return PathEnsemble(grid=grid, d=d, n_paths=n_paths, seed=seed,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import roughdensity.density as dens
 from roughdensity.density import (
     DensityEstimate,
     NoiseFloorError,
@@ -30,6 +31,7 @@ from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
 from roughdensity.malliavin import deterministic_malliavin_matrix
 from roughdensity.paths import CMElement
 
+from _kde_oracle import all_pairs_kde
 from _rate_oracle import penalty_rate_function
 
 
@@ -131,18 +133,24 @@ def test_tail_fit_empty_window_errors():
 
 
 def test_tail_fit_window_excludes_underflowed_se():
-    # Outside the support of tanh(N(0, 1)) every kernel weight squares to
-    # zero, so se underflows to 0 while p is still subnormal or tiny.
+    # Outside the support of tanh(N(0, 1)) every all-pairs kernel weight
+    # squares to zero, so se underflows to 0 while p is still subnormal or
+    # tiny; the windowed KDE returns p = 0 at most of those points.
     x = np.tanh(np.random.default_rng(1).standard_normal(200_000))
     h = silverman_bandwidth(x)
     y = np.linspace(x.mean() - 6 * x.std(), x.mean() + 6 * x.std(), 512)
-    p, se = kde_evaluate(x, y, h)
+    p, se = all_pairs_kde(x, y, h)
     underflowed = (se == 0) & (p > 0)
     assert underflowed.sum() == 76
     est = DensityEstimate(y_grid=y, p=p, se=se, bandwidth=h,
                           n_paths=x.size, t=1.0, normalization=1.0)
     fit = tail_fit(est, [0.0], rho=1.0, kappa_t=1.0)
     assert fit.n_window == ((p > 10 * se) & (p > 0)).sum() - 76
+    # The windowed KDE drops the pure kernel-tail points beyond the data.
+    p, se = kde_evaluate(x, y, h)
+    est = DensityEstimate(y_grid=y, p=p, se=se, bandwidth=h,
+                          n_paths=x.size, t=1.0, normalization=1.0)
+    assert tail_fit(est, [0.0], rho=1.0, kappa_t=1.0).n_window == 196
 
 
 def _zero_field():
@@ -313,9 +321,50 @@ def test_kde_matches_direct_formula():
     np.testing.assert_allclose(p, direct, rtol=1e-12)
 
 
-def test_monte_carlo_reduce_chunking_invariant():
-    import roughdensity.density as dens
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kde_matches_all_pairs_oracle(dim):
+    rng = np.random.default_rng(41)
+    # Coordinate 1 is narrower, so its bandwidth is smaller than h_0.
+    mix = np.array([[1.0, 0.0], [0.18, 0.24]])[:dim, :dim]
+    samples = np.sinh(rng.standard_normal((50_000, dim)) @ mix.T)
+    h = silverman_bandwidth(samples)
+    lo, hi = samples.min(axis=0) - 1.0, samples.max(axis=0) + 1.0
+    axes = [np.linspace(lo[c], hi[c], 400 if dim == 1 else 30)
+            for c in range(dim)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    p, se = kde_evaluate(samples, points, h)
+    p_all, se_all = all_pairs_kde(samples, points, h)
+    # In dim 2 a point near 1e-8 can owe a 1e-13 share of p to samples
+    # beyond the window in coordinate 0; the bound below covers it.
+    sure = p_all > (1e-8 if dim == 1 else 1e-6)
+    assert sure.sum() > 100 and (~sure).sum() > 10
+    assert np.all(np.abs(p - p_all)[sure] <= 1e-14 * p_all[sure])
+    assert np.all(np.abs(se - se_all)[sure] <= 1e-14 * se_all[sure])
+    # Elsewhere only samples of weight < exp(-9^2 / 2) of the peak are left
+    # out of the mean.
+    peak = 1.0 / (np.prod(h) * (2 * math.pi) ** (dim / 2))
+    assert np.all(np.abs(p - p_all) <= 1e-14 * p_all
+                  + peak * math.exp(-0.5 * dens.KDE_WINDOW ** 2))
 
+
+def test_kde_empty_window_is_exact_zero():
+    samples = np.random.default_rng(43).uniform(0.0, 1.0, (2_000, 2))
+    h = np.array([0.01, 0.01])
+    reach = dens.KDE_WINDOW * h[0]
+    points = np.array([[1.0 + 1.05 * reach, 0.5], [-1.05 * reach, 0.5],
+                       [1.0 + 0.95 * reach, 0.5], [0.5, 5.0]])
+    p, se = kde_evaluate(samples, points, h)
+    p_all, _ = all_pairs_kde(samples, points, h)
+    assert np.all(p_all[:3] > 0)
+    assert p[0] == 0.0 and se[0] == 0.0
+    assert p[1] == 0.0 and se[1] == 0.0
+    assert p[2] > 0.0
+    # Only coordinate 0 opens the window; the last point's window is full
+    # but every product-kernel weight underflows, as in the oracle.
+    assert p[3] == 0.0 == p_all[3]
+
+
+def test_monte_carlo_reduce_chunking_invariant():
     old = dens.CHUNK_PATHS
     try:
         outs = []

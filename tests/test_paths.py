@@ -23,6 +23,8 @@ from roughdensity.paths import (
     wiener_integral,
 )
 
+from _stream_oracle import oracle_sample_data
+
 
 @pytest.fixture(scope="module")
 def bm_ensemble():
@@ -68,6 +70,34 @@ def test_chunked_sampling_is_bit_identical():
              sample(k, grid, d=2, n_paths=3, seed=11, path_offset=7, chol=chol)]
     glued = np.concatenate([p.data for p in parts], axis=0)
     assert np.array_equal(whole.data, glued)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_sample_matches_per_stream_oracle(d, n):
+    # Seeds past 2^63, negative and past 2^64 exercise the 64-bit masking;
+    # the second offset range crosses the 16,384-path chunk boundary.
+    k = FractionalBrownian(0.4)
+    grid = TimeGrid.regular(n)
+    for seed in (0, 13, 2**63 + 5, -1, 2**64 + 3):
+        for offset, n_paths in ((0, 3), (16_381, 6)):
+            got = sample(k, grid, d=d, n_paths=n_paths, seed=seed,
+                         path_offset=offset)
+            want = oracle_sample_data(k, grid, d, n_paths, seed, offset)
+            assert np.array_equal(got.data, want)
+
+
+def test_sample_builds_one_philox_per_call(monkeypatch):
+    made = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    sample(brownian(), TimeGrid.regular(16), d=2, n_paths=50, seed=5)
+    assert len(made) == 1
 
 
 def test_sampler_factor_is_numpy_cholesky():
