@@ -38,7 +38,6 @@ from .lift import RoughPath2, lift, p_variation, rough_norm   # noqa: F401
 from .fields import VectorFieldSystem, ellipticity_scan, field_from_spec  # noqa: F401
 from .rde import FlowState, solve, solve_batch, solve_skeleton  # noqa: F401
 from .malliavin import (          # noqa: F401
-    MalliavinMatrix,
     derivative_kernel,
     deterministic_malliavin_matrix,
     directional_derivative,

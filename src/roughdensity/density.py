@@ -18,8 +18,7 @@ from .diagnostics import kappa
 from .fields import VectorFieldSystem, ellipticity_scan, NonEllipticError
 from .kernels import CovKernel, TimeGrid
 from .lift import lift_ensemble
-from .malliavin import (MalliavinMatrix, derivative_kernel,
-                        deterministic_malliavin_matrix)
+from .malliavin import derivative_kernel, malliavin_matrix
 from .paths import CMElement, cholesky_factor, sample
 from .rde import (BlowUpError, FlowState, SkeletonPropagator, solve_batch,
                   solve_skeleton)
@@ -28,6 +27,9 @@ CHUNK_PATHS = 16384
 # Half-width, in bandwidths of coordinate 0, of the sample window that
 # `kde_evaluate` sums over each point.
 KDE_WINDOW = 9.0
+# `varadhan_sweep` trusts an eps only where n p_hat prod(h) >= TRUST_FLOOR,
+# i.e. where about that many samples fall within a bandwidth of y.
+TRUST_FLOOR = 50.0
 
 
 class NoiseFloorError(RuntimeError):
@@ -42,10 +44,9 @@ class TargetUnreachableError(RuntimeError):
 # Monte-Carlo reductions over chunked ensembles
 # ---------------------------------------------------------------------------
 
-def _chunk_ranges(n_paths: int, chunk: int | None = None):
-    chunk = CHUNK_PATHS if chunk is None else chunk
-    return [(off, min(chunk, n_paths - off))
-            for off in range(0, n_paths, chunk)]
+def _chunk_ranges(n_paths: int):
+    return [(off, min(CHUNK_PATHS, n_paths - off))
+            for off in range(0, n_paths, CHUNK_PATHS)]
 
 
 def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
@@ -207,32 +208,33 @@ class TailFit:
                 "n_window": self.n_window, "pass": self.passed}
 
 
-def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+def _tail_line(u: np.ndarray, p: np.ndarray) -> TailFit:
+    """Least-squares line of -log p on u; c2_hat = 1 / slope, and PASS iff
+    slope > 0 and r^2 >= 0.9."""
+    y = -np.log(p)
+    slope, intercept = np.polyfit(u, y, 1)
+    resid = y - (slope * u + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), float(intercept), r2
+    slope, intercept = float(slope), float(intercept)
+    return TailFit(slope=slope, intercept=intercept, r2=r2,
+                   c2_hat=1.0 / slope if slope > 0 else float("inf"),
+                   n_window=int(u.size), passed=bool(slope > 0 and r2 >= 0.9))
 
 
 def tail_fit(est: DensityEstimate, z0, rho: float,
              kappa_t: float) -> TailFit:
     """Regress -log p_hat(y) on |y - z0|^(1 + 1/rho) / kappa_t^2 over the
     reliable window p_hat > 10 se > 0 (an underflowed se of 0 marks a
-    point no sample reached, not a precise one); PASS iff slope > 0 and
-    r^2 >= 0.9."""
+    point no sample reached, not a precise one)."""
     y = np.atleast_2d(est.y_grid.T).T
     z0_arr = np.atleast_1d(np.asarray(z0, dtype=float))
     dist = np.linalg.norm(y - z0_arr, axis=1)
     ok = (est.p > 10 * est.se) & (est.se > 0)
     if ok.sum() < 3:
         raise NoiseFloorError("reliable window is empty")
-    u = dist[ok] ** (1.0 + 1.0 / rho) / kappa_t ** 2
-    slope, intercept, r2 = _fit_line(u, -np.log(est.p[ok]))
-    passed = bool(slope > 0 and r2 >= 0.9)
-    c2 = 1.0 / slope if slope > 0 else float("inf")
-    return TailFit(slope=slope, intercept=intercept, r2=r2, c2_hat=c2,
-                   n_window=int(ok.sum()), passed=passed)
+    return _tail_line(dist[ok] ** (1.0 + 1.0 / rho) / kappa_t ** 2,
+                      est.p[ok])
 
 
 @dataclass
@@ -269,12 +271,8 @@ def tail_probability_check(kernel: CovKernel, vf: VectorFieldSystem, z0,
     kap = kappa(kernel, 0.0, float(tau), grid)
     fit = None
     if ok.sum() >= 3:
-        u = levels[ok] ** (1.0 + 1.0 / kernel.rho) / (eps ** 2 * kap ** 2)
-        slope, intercept, r2 = _fit_line(u, -np.log(p_hat[ok]))
-        fit = TailFit(slope=slope, intercept=intercept, r2=r2,
-                      c2_hat=1.0 / slope if slope > 0 else float("inf"),
-                      n_window=int(ok.sum()),
-                      passed=bool(slope > 0 and r2 >= 0.9))
+        fit = _tail_line(levels[ok] ** (1.0 + 1.0 / kernel.rho)
+                         / (eps ** 2 * kap ** 2), p_hat[ok])
     return TailProbabilityReport(levels=levels, exceedance=p_hat, se=se,
                                  fit=fit)
 
@@ -297,7 +295,7 @@ class RateFunctionResult:
     tol: float
     iterations: list
     det_gamma: float
-    gamma: MalliavinMatrix
+    gamma: np.ndarray
     start_index: int
 
     @property
@@ -317,7 +315,6 @@ class RateFunctionResult:
 def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                   grid: TimeGrid | None = None, m_nodes: int = 16,
                   tol: float = 1e-6, n_starts: int = 5, seed: int = 0,
-                  refine_factor: int = 8,
                   elliptic_gate: bool = True) -> RateFunctionResult:
     """Minimize (1/2)|h|^2_H subject to the skeleton reaching y: Gauss-Newton
     on the KKT system.  With h = sum_i c_i R(s_i, .) on ``m_nodes``
@@ -347,8 +344,7 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     # Gram and inverse Gram of the flattened coefficients c.ravel()
     gram_c = np.kron(gram, np.eye(d))
     gram_c_inv = np.kron(np.linalg.pinv(gram, hermitian=True), np.eye(d))
-    prop = SkeletonPropagator(kernel, vf, grid, nodes,
-                              refine_factor=refine_factor)
+    prop = SkeletonPropagator(kernel, vf, grid, nodes)
 
     def linearize(cs):
         phi, jac, tan = prop.propagate(cs.reshape(-1, m, d), z0,
@@ -413,12 +409,12 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     skeleton = FlowState(grid=grid, Z=phi[s_idx], J=jac[s_idx],
                          Jinv=np.linalg.inv(jac[s_idx]), z0=phi[s_idx, 0],
                          eps=1.0)
-    gamma = deterministic_malliavin_matrix(h_opt, vf, z0, kernel, grid,
-                                           skeleton=skeleton)
+    gamma = malliavin_matrix(skeleton, vf, kernel, grid.n_steps)
     return RateFunctionResult(
         y=y_arr, d2=float(energy[s_idx]), h_opt=h_opt,
         residual=float(np.linalg.norm(phi[s_idx, -1] - y_arr)), tol=tol,
-        iterations=history[s_idx], det_gamma=gamma.det, gamma=gamma,
+        iterations=history[s_idx], det_gamma=float(np.linalg.det(gamma)),
+        gamma=gamma,
         start_index=int(s_idx))
 
 
@@ -457,33 +453,25 @@ def _extrapolate_eps(eps: np.ndarray, vals: np.ndarray) -> float:
 
 
 def varadhan_sweep(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
-                   eps_list, n_paths: int, seed: int,
-                   rate: RateFunctionResult | None = None,
-                   d2: float | None = None,
-                   grid: TimeGrid | None = None, t: float = 1.0,
-                   bandwidth=None, floor: float = 50.0,
+                   eps_list, n_paths: int, seed: int, d2: float,
+                   grid: TimeGrid | None = None,
                    workers: int = 1) -> VaradhanSweep:
-    """eps^2 log p_eps(y) along an eps list, with the shared driver
-    realization, the trust floor n p_hat bandwidth >= ``floor``, and
-    three-point extrapolation to eps = 0 on the trusted tail."""
-    if rate is None and d2 is None:
-        raise ValueError("pass a RateFunctionResult or a d2 value")
-    d2_val = d2 if d2 is not None else rate.d2
+    """eps^2 log p_eps(y) at the grid horizon along an eps list, with the
+    shared driver realization, the trust floor n p_hat bandwidth >=
+    ``TRUST_FLOOR``, and three-point extrapolation to eps = 0 on the
+    trusted tail; ``d2`` is the rate d^2(y) the limit is compared with."""
     if grid is None:
         grid = TimeGrid.regular(256, horizon=kernel.horizon)
     y_arr = np.atleast_2d(np.asarray(y, dtype=float))
     eps_arr = list(eps_list)
     terminals = monte_carlo_reduce(kernel, grid, vf, z0, eps_arr, n_paths,
-                                   seed, collect="terminal", t_node=t,
-                                   workers=workers)
+                                   seed, collect="terminal", workers=workers)
     log_p, scaled, trusted = [], [], []
     for eps, term in zip(eps_arr, terminals):
-        h = silverman_bandwidth(term) if bandwidth is None \
-            else np.broadcast_to(np.asarray(bandwidth, dtype=float),
-                                 (term.shape[1],)).copy()
+        h = silverman_bandwidth(term)
         p, se = kde_evaluate(term, y_arr, h)
         p_val = float(p[0])
-        ok = n_paths * p_val * float(np.prod(h)) >= floor
+        ok = n_paths * p_val * float(np.prod(h)) >= TRUST_FLOOR
         log_p.append(math.log(p_val) if p_val > 0 else float("-inf"))
         scaled.append(eps * eps * log_p[-1])
         trusted.append(bool(ok))
@@ -497,8 +485,8 @@ def varadhan_sweep(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                              np.array([scaled[i] for i in last3]))
     return VaradhanSweep(y=np.atleast_1d(np.asarray(y, dtype=float)),
                          eps_list=eps_arr, log_density=log_p, scaled=scaled,
-                         trusted=trusted, extrapolated=limit, d2=d2_val,
-                         gap=limit - (-d2_val))
+                         trusted=trusted, extrapolated=limit, d2=d2,
+                         gap=limit - (-d2))
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +495,12 @@ def varadhan_sweep(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
 
 def first_variation_samples(h: CMElement, kernel: CovKernel,
                             vf: VectorFieldSystem, z0, grid: TimeGrid,
-                            n_paths: int, seed: int,
-                            skeleton=None) -> np.ndarray:
+                            n_paths: int, seed: int) -> np.ndarray:
     """Samples of the Gaussian first variation
     G_1(h) = J_1(h) sum_i J_{u_i}(h)^{-1} V(Phi_{u_i}(h)) dX_i,
     shape (n_paths, n); mean 0 and covariance the deterministic matrix."""
-    flow = skeleton if skeleton is not None else solve_skeleton(
-        h, vf, z0, grid)
-    w = derivative_kernel(flow, vf, grid.n_steps).values[:-1]
+    w = derivative_kernel(solve_skeleton(h, vf, z0, grid), vf,
+                          grid.n_steps)[:-1]
     out = np.empty((n_paths, vf.n))
     chol = cholesky_factor(kernel, grid)
     for off, size in _chunk_ranges(n_paths):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .kernels import CovKernel, TimeGrid, jitter_cholesky
+from .kernels import CovKernel, TimeGrid, jitter_cholesky, kernel_spec
 
 
 def cell_rect_matrix(kernel: CovKernel, grid: TimeGrid) -> np.ndarray:
@@ -352,13 +352,9 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
     if kernel.family in ("stationary", "sum_fbm", "fourier", "fou"):
         valid_horizon = stationary_valid_horizon(kernel, grid, tol)
 
-    try:
-        spec = kernel.to_spec()
-    except ValueError:
-        spec = {"family": kernel.family}
     return HypothesisReport(
         kernel=kernel.label,
-        kernel_spec=spec,
+        kernel_spec=kernel_spec(kernel),
         n_steps=grid.n_steps,
         negative_correlation=nc,
         diagonal_dominance=dd,

@@ -394,6 +394,15 @@ class FractionalOU(RecenteredStationary):
                 "T": self.horizon, "rho": self.rho}
 
 
+def kernel_spec(kernel: CovKernel) -> dict:
+    """The kernel's JSON spec, or only its family when it has no JSON form
+    (a stationary kernel built from a Python F)."""
+    try:
+        return kernel.to_spec()
+    except ValueError:
+        return {"family": kernel.family}
+
+
 def kernel_from_spec(spec: dict) -> CovKernel:
     """Build a kernel from its JSON form, e.g.
     ``{"family": "fbm", "H": 0.4, "T": 1.0, "rho": 1.25}``."""

@@ -5,6 +5,10 @@ matrix assembles the 2D Riemann-Stieltjes pairing of that kernel with
 itself against the covariance increments (left-endpoint cells), which is
 exact for grid step functions.  The same assembly applied to a skeleton
 flow gives the deterministic matrix of the small-noise analysis.
+
+Every function takes a `FlowState` and broadcasts over its leading batch
+axes: a single flow gives one result, a batch from `solve_batch` one per
+path.
 """
 
 from __future__ import annotations
@@ -17,40 +21,12 @@ from .diagnostics import HypothesisReport, cell_rect_matrix, check_hypotheses, k
 from .fields import VectorFieldSystem
 from .kernels import CovKernel, TimeGrid
 from .lift import p_variation
-from .paths import CMElement, cm_eval
-from .rde import BatchFlow, FlowState, solve_skeleton
+from .paths import CMElement
+from .rde import FlowState, solve_skeleton
 
 
 class HypothesisGateError(RuntimeError):
     """Kernel failed its hypothesis report; gated computation refused."""
-
-
-@dataclass
-class MalliavinKernelTrace:
-    """D_s Z_t = J_t J_s^{-1} V(Z_s) for grid nodes s <= t; values has
-    shape (t_index + 1, n, d)."""
-
-    grid: TimeGrid
-    t_index: int
-    values: np.ndarray
-
-    @property
-    def t(self) -> float:
-        return float(self.grid.nodes[self.t_index])
-
-
-@dataclass
-class MalliavinMatrix:
-    gamma: np.ndarray
-    t: float
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.gamma)
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.gamma))
 
 
 def _t_index(grid: TimeGrid, t_node) -> int:
@@ -63,50 +39,55 @@ def _t_index(grid: TimeGrid, t_node) -> int:
 
 
 def derivative_kernel(flow: FlowState, vf: VectorFieldSystem,
-                      t_node) -> MalliavinKernelTrace:
-    """Malliavin derivative kernel of Z_t along one solved flow (carries
-    the flow's driver scale: eps * J_t J_s^{-1} V(Z_s))."""
+                      t_node) -> np.ndarray:
+    """Malliavin derivative kernel D_s Z_t = eps J_t J_s^{-1} V(Z_s) at the
+    grid nodes s <= t (it carries the flow's driver scale), shape
+    (..., t_index + 1, n, d)."""
     if flow.J is None or flow.Jinv is None:
         raise ValueError("flow was solved without the Jacobian pair")
     idx = _t_index(flow.grid, t_node)
-    jt = flow.J[idx]
-    values = flow.eps * np.einsum("ab,sbc,scd->sad", jt,
-                                  flow.Jinv[: idx + 1],
-                                  vf.v(flow.Z[: idx + 1]))
-    return MalliavinKernelTrace(grid=flow.grid, t_index=idx, values=values)
+    return flow.eps * np.einsum("...ab,...sbc,...scd->...sad",
+                                flow.J[..., idx, :, :],
+                                flow.Jinv[..., : idx + 1, :, :],
+                                vf.v(flow.Z[..., : idx + 1, :]))
 
 
 def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
-                           rp, h: CMElement, t_node) -> np.ndarray:
-    """Cameron-Martin directional derivative of Z_t along h.
+                           level1: np.ndarray, shift: np.ndarray,
+                           t_node) -> np.ndarray:
+    """Cameron-Martin directional derivative of Z_t along h, shape (..., n).
 
-    Contracts the derivative kernel with dh through the same one-step
-    quadrature as the flow solver (including the mixed level-2 channel).
-    The flow's J is the exact derivative of the discrete step map and Jinv
-    is J^-1, so J_t J_{s+1}^-1 is the exact derivative of Z_t in Z_{s+1}
-    and the result is the exact adjoint of the discrete flow map, up to
-    round-off; it matches the continuous pairing to scheme order.
+    ``level1`` holds the driver's level-1 increments (..., N, d) and
+    ``shift`` the trace of h at the grid nodes (..., N+1, d), so each flow
+    of a batch can have its own h.  Contracts the derivative kernel with dh
+    through the same one-step quadrature as the flow solver (including the
+    mixed level-2 channel).  The flow's J is the exact derivative of the
+    discrete step map and Jinv is J^-1, so J_t J_{s+1}^-1 is the exact
+    derivative of Z_t in Z_{s+1} and the result is the exact adjoint of the
+    discrete flow map, up to round-off; it matches the continuous pairing
+    to scheme order.
     """
     if flow.J is None or flow.Jinv is None:
         raise ValueError("flow was solved without the Jacobian pair")
     idx = _t_index(flow.grid, t_node)
     if idx == 0:
-        return np.zeros(vf.n)
+        return np.zeros(flow.Z.shape[:-2] + (vf.n,))
     eps = flow.eps
     dts = flow.grid.dts[:idx]
-    dh = np.diff(cm_eval(h, flow.grid.nodes[: idx + 1]), axis=0)
-    dx = rp.step1[:idx]
-    z = flow.Z[:idx]
+    dh = np.diff(shift[..., : idx + 1, :], axis=-2)
+    dx = level1[..., :idx, :]
+    z = flow.Z[..., :idx, :]
     v0, v = vf.v0(z), vf.v(z)
     dv0, dv = vf.dv0(z), vf.dv(z)
-    x2ch = 0.5 * (np.einsum("sj,sk->sjk", dh, dx)
-                  + np.einsum("sj,sk->sjk", dx, dh))
-    b = eps * np.einsum("sad,sd->sa", v, dh)
-    b += (eps * eps) * np.einsum("sabk,sbj,sjk->sa", dv, v, x2ch)
+    x2ch = 0.5 * (np.einsum("...sj,...sk->...sjk", dh, dx)
+                  + np.einsum("...sj,...sk->...sjk", dx, dh))
+    b = eps * np.einsum("...sad,...sd->...sa", v, dh)
+    b += (eps * eps) * np.einsum("...sabk,...sbj,...sjk->...sa", dv, v, x2ch)
     b += 0.5 * eps * dts[:, None] * (
-        np.einsum("sabj,sb,sj->sa", dv, v0, dh)
-        + np.einsum("sab,sbj,sj->sa", dv0, v, dh))
-    return np.einsum("ab,sbc,sc->a", flow.J[idx], flow.Jinv[1: idx + 1], b)
+        np.einsum("...sabj,...sb,...sj->...sa", dv, v0, dh)
+        + np.einsum("...sab,...sbj,...sj->...sa", dv0, v, dh))
+    return np.einsum("...ab,...sbc,...sc->...a", flow.J[..., idx, :, :],
+                     flow.Jinv[..., 1: idx + 1, :, :], b)
 
 
 def _assemble(jinv: np.ndarray, v_along: np.ndarray, jt: np.ndarray,
@@ -122,42 +103,25 @@ def _assemble(jinv: np.ndarray, v_along: np.ndarray, jt: np.ndarray,
 
 
 def malliavin_matrix(flow: FlowState, vf: VectorFieldSystem,
-                     kernel: CovKernel, t_node,
-                     cells: np.ndarray | None = None) -> MalliavinMatrix:
-    """Malliavin matrix gamma_t of one solved flow."""
+                     kernel: CovKernel, t_node) -> np.ndarray:
+    """Malliavin matrix gamma_t of a solved flow, shape (..., n, n)."""
     if flow.J is None or flow.Jinv is None:
         raise ValueError("flow was solved without the Jacobian pair")
     if not np.all(np.isfinite(flow.Z)):
         raise FloatingPointError("flow contains non-finite states")
     idx = _t_index(flow.grid, t_node)
-    m = cell_rect_matrix(kernel, flow.grid) if cells is None else cells
-    gamma = (flow.eps ** 2) * _assemble(flow.Jinv, vf.v(flow.Z),
-                                        flow.J[idx], m, idx)
-    return MalliavinMatrix(gamma=gamma, t=float(flow.grid.nodes[idx]))
-
-
-def malliavin_matrix_batch(batch: BatchFlow, vf: VectorFieldSystem,
-                           kernel: CovKernel, t_node,
-                           cells: np.ndarray | None = None) -> np.ndarray:
-    """gamma_t for every path of a batch, shape (P, n, n)."""
-    if batch.J is None or batch.Jinv is None:
-        raise ValueError("batch was solved without the Jacobian pair")
-    idx = _t_index(batch.grid, t_node)
-    m = cell_rect_matrix(kernel, batch.grid) if cells is None else cells
-    return (batch.eps ** 2) * _assemble(batch.Jinv, vf.v(batch.Z),
-                                        batch.J[:, idx], m, idx)
+    return (flow.eps ** 2) * _assemble(flow.Jinv, vf.v(flow.Z),
+                                       flow.J[..., idx, :, :],
+                                       cell_rect_matrix(kernel, flow.grid),
+                                       idx)
 
 
 def deterministic_malliavin_matrix(h: CMElement, vf: VectorFieldSystem, z0,
-                                   kernel: CovKernel, grid: TimeGrid,
-                                   refine_factor: int = 8,
-                                   skeleton: FlowState | None = None
-                                   ) -> MalliavinMatrix:
-    """Deterministic Malliavin matrix of the skeleton terminal state
-    (``skeleton``: the flow of h from `solve_skeleton`, if already solved)."""
-    flow = skeleton if skeleton is not None else solve_skeleton(
-        h, vf, z0, grid, refine_factor=refine_factor)
-    return malliavin_matrix(flow, vf, kernel, grid.n_steps)
+                                   kernel: CovKernel,
+                                   grid: TimeGrid) -> np.ndarray:
+    """Deterministic Malliavin matrix of the skeleton terminal state."""
+    return malliavin_matrix(solve_skeleton(h, vf, z0, grid), vf, kernel,
+                            grid.n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +183,6 @@ class InterpolationAudit:
 
 def interpolation_audit(kernel: CovKernel, grid: TimeGrid,
                         n_random_fns: int = 100, seed: int = 0,
-                        t_checks=None,
                         report: HypothesisReport | None = None,
                         tol: float = 1e-9) -> InterpolationAudit:
     """Audit the two-sided interpolation inequalities on a random smooth
@@ -228,9 +191,9 @@ def interpolation_audit(kernel: CovKernel, grid: TimeGrid,
     The constant-free lower chain
     ``|f 1_[0,t]|_H^2 >= int f^2 R(dr, t) >= sigma_t^2 min f^2``
     must hold exactly on the grid (up to round-off) for kernels passing the
-    sign hypotheses; the upper bound and the sup-norm interpolation are
-    reported with their empirical constants and checked with the
-    grid-estimated (c_X, alpha).
+    sign hypotheses, at the nodes N/4, N/2 and N; the upper bound and the
+    sup-norm interpolation are reported with their empirical constants and
+    checked with the grid-estimated (c_X, alpha).
     """
     if report is None:
         report = check_hypotheses(kernel, grid)
@@ -240,8 +203,7 @@ def interpolation_audit(kernel: CovKernel, grid: TimeGrid,
 
     nodes = grid.nodes
     n = grid.n_steps
-    if t_checks is None:
-        t_checks = [nodes[n // 4], nodes[n // 2], nodes[n]]
+    t_checks = [nodes[n // 4], nodes[n // 2], nodes[n]]
     cells = cell_rect_matrix(kernel, grid)
     gram = kernel.gram(nodes)
     corpus = trig_corpus(grid, n_random_fns, seed=seed)

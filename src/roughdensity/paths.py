@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import cell_rect_matrix
-from .kernels import CovKernel, TimeGrid, jitter_cholesky, kernel_from_spec
+from .kernels import (CovKernel, TimeGrid, jitter_cholesky, kernel_from_spec,
+                      kernel_spec)
 
 
 _MAGIC = b"RDPE"
@@ -84,14 +85,7 @@ def sample(kernel: CovKernel, grid: TimeGrid, d: int = 1, n_paths: int = 1,
     data = np.zeros((n_paths, d, n + 1))
     data[:, :, 1:] = z @ L.T
     return PathEnsemble(grid=grid, d=d, n_paths=n_paths, seed=seed,
-                        kernel_spec=_spec_of(kernel), data=data)
-
-
-def _spec_of(kernel: CovKernel) -> dict:
-    try:
-        return kernel.to_spec()
-    except ValueError:
-        return {"family": kernel.family}
+                        kernel_spec=kernel_spec(kernel), data=data)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ data, with time adjoined as a smooth zeroth component (weights dt^2/2 and
 dt dx/2 for the drift blocks).  The Jacobian J is propagated through the
 exact derivative of that step map, and its inverse is one batched
 inversion of J over every node.
+
+Every solve returns a `FlowState`: one record for a single flow, a batch
+of flows along leading axes, and a skeleton flow.
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ from .lift import RoughPath2
 from .paths import CMElement
 
 
+# A state with |Z| beyond this bound is a blow-up (step too coarse or field
+# unbounded), for rough and skeleton flows alike.
+BLOW_UP_GUARD = 1e8
+# RK4 substeps of the skeleton per grid step.
+REFINE_FACTOR = 8
+
+
 class BlowUpError(RuntimeError):
     """State escaped the guard radius; carries the last valid step."""
 
@@ -30,34 +40,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class FlowState:
-    """Solution, Jacobian and inverse Jacobian of one driver realization."""
+    """Solution, Jacobian and inverse Jacobian of one driver realization,
+    or of a batch of them along leading axes."""
 
     grid: TimeGrid
-    Z: np.ndarray                 # (N+1, n)
-    J: np.ndarray | None          # (N+1, n, n)
+    Z: np.ndarray                 # (..., N+1, n)
+    J: np.ndarray | None          # (..., N+1, n, n)
     Jinv: np.ndarray | None
     z0: np.ndarray
     eps: float
-
-
-@dataclass
-class BatchFlow:
-    grid: TimeGrid
-    Z: np.ndarray                 # (P, N+1, n)
-    J: np.ndarray | None
-    Jinv: np.ndarray | None
-    z0: np.ndarray
-    eps: float
-
-    @property
-    def n_paths(self) -> int:
-        return self.Z.shape[0]
-
-    def flow(self, p: int) -> FlowState:
-        return FlowState(grid=self.grid, Z=self.Z[p],
-                         J=None if self.J is None else self.J[p],
-                         Jinv=None if self.Jinv is None else self.Jinv[p],
-                         z0=self.z0, eps=self.eps)
 
 
 def _as_state(z0, n: int) -> np.ndarray:
@@ -69,15 +60,15 @@ def _as_state(z0, n: int) -> np.ndarray:
 
 def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
                 vf: VectorFieldSystem, z0, eps: float = 1.0,
-                with_jacobian: bool = True,
-                guard: float = 1e8) -> BatchFlow:
+                with_jacobian: bool = True) -> FlowState:
     """Second-order one-step scheme over an ensemble of lifted drivers.
 
     ``level1``: (P, N, d) increments, ``level2``: (P, N, d, d) iterated
     integrals; the driver enters scaled by ``eps``.  With the Jacobian,
     each step forms A_i = d(dz_i)/dz once, (P, n, n), and updates
     J <- J + A_i J, so J is the exact derivative of the discrete map; Jinv
-    is np.linalg.inv(J) over all (P, N+1) nodes after the loop.
+    is np.linalg.inv(J) over all (P, N+1) nodes after the loop.  The flow
+    has a leading path axis: Z is (P, N+1, n), J and Jinv (P, N+1, n, n).
     """
     P, N, d = level1.shape
     if d != vf.d or level2.shape != (P, N, d, d) or N != grid.n_steps:
@@ -135,22 +126,25 @@ def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
             J[:, i + 1] = J[:, i] + a @ J[:, i]
 
         z = z + dz
-        if not np.all(np.isfinite(z)) or np.abs(z).max() > guard:
+        if not np.all(np.isfinite(z)) or np.abs(z).max() > BLOW_UP_GUARD:
             raise BlowUpError(
-                f"state escaped |Z| <= {guard:g} at step {i + 1} "
+                f"state escaped |Z| <= {BLOW_UP_GUARD:g} at step {i + 1} "
                 "(step too coarse or field unbounded)", last_valid_step=i)
         Z[:, i + 1] = z
 
     Jinv = None if J is None else np.linalg.inv(J)
-    return BatchFlow(grid=grid, Z=Z, J=J, Jinv=Jinv, z0=z0, eps=eps)
+    return FlowState(grid=grid, Z=Z, J=J, Jinv=Jinv, z0=z0, eps=eps)
 
 
 def solve(rp: RoughPath2, vf: VectorFieldSystem, z0, eps: float = 1.0,
-          with_jacobian: bool = True, guard: float = 1e8) -> FlowState:
-    """Solve along a single lifted driver."""
-    batch = solve_batch(rp.step1[None], rp.step2[None], rp.grid, vf, z0,
-                        eps=eps, with_jacobian=with_jacobian, guard=guard)
-    return batch.flow(0)
+          with_jacobian: bool = True) -> FlowState:
+    """Solve along a single lifted driver: a batch of one, unwrapped."""
+    flow = solve_batch(rp.step1[None], rp.step2[None], rp.grid, vf, z0,
+                       eps=eps, with_jacobian=with_jacobian)
+    return FlowState(grid=flow.grid, Z=flow.Z[0],
+                     J=None if flow.J is None else flow.J[0],
+                     Jinv=None if flow.Jinv is None else flow.Jinv[0],
+                     z0=flow.z0, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +194,20 @@ class SkeletonPropagator:
     Each basis trace R(s_m, .) is known at the grid nodes; its derivative
     is that of the not-a-knot cubic spline through them (node slopes from
     one linear solve, then the cubic Hermite derivative), taken at the RK4
-    stage times of an 8x (configurable) refined grid.  The trace is linear
-    in the coefficients, so these derivatives are computed once and reused
-    for every evaluation and tangent.
+    stage times of the grid refined ``REFINE_FACTOR`` times.  The trace is
+    linear in the coefficients, so these derivatives are computed once and
+    reused for every evaluation and tangent.
     """
 
     def __init__(self, kernel, vf: VectorFieldSystem, grid: TimeGrid,
-                 h_nodes: np.ndarray, refine_factor: int = 8,
-                 guard: float = 1e8):
+                 h_nodes: np.ndarray):
         self.vf = vf
         self.h_nodes = np.asarray(h_nodes, dtype=float)
-        self.guard = guard
         # basis traces R(s_m, t) on the grid
         self.basis = np.atleast_2d(kernel.eval(self.h_nodes[:, None],
                                                grid.nodes[None, :]))
-        fine = grid.refine(refine_factor)
+        fine = grid.refine(REFINE_FACTOR)
         self.fine_nodes = fine.nodes
-        self.refine_factor = refine_factor
         stage_times = np.empty(2 * fine.n_steps + 1)
         stage_times[::2] = fine.nodes
         stage_times[1::2] = 0.5 * (fine.nodes[:-1] + fine.nodes[1:])
@@ -235,7 +226,7 @@ class SkeletonPropagator:
         if coeffs.ndim == 2:
             coeffs = coeffs[:, :, None]
         B, m, d = coeffs.shape
-        vf, n, f = self.vf, self.vf.n, self.refine_factor
+        vf, n = self.vf, self.vf.n
         hdot = np.einsum("bmd,mq->bqd", coeffs, self.basis_dot)  # (B, Q, d)
         n_j, n_c = n * with_jacobian, m * d * with_tangent
         phi = np.broadcast_to(_as_state(z0, n), (B, n)).copy()
@@ -262,10 +253,10 @@ class SkeletonPropagator:
             k4, m4 = stage(phi + h * k3, tan + h * m3, 2 * i + 2)
             tan = tan + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
             phi = phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if np.abs(phi).max() > self.guard:
+            if np.abs(phi).max() > BLOW_UP_GUARD:
                 raise BlowUpError("skeleton escaped the guard radius",
                                   last_valid_step=i)
-            if (i + 1) % f == 0:
+            if (i + 1) % REFINE_FACTOR == 0:
                 phi_out.append(phi)
                 j_out.append(tan[:, :, :n_j])
 
@@ -281,12 +272,11 @@ class SkeletonPropagator:
         return self.propagate(coeffs, z0)[:, -1]
 
 
-def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0, grid: TimeGrid,
-                   refine_factor: int = 8) -> FlowState:
+def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0,
+                   grid: TimeGrid) -> FlowState:
     """Skeleton flow phi (as Z, at unit driver scale) and its Jacobian for
     one Cameron-Martin element."""
-    prop = SkeletonPropagator(h.kernel, vf, grid, h.nodes,
-                              refine_factor=refine_factor)
+    prop = SkeletonPropagator(h.kernel, vf, grid, h.nodes)
     phi, jac = prop.propagate(h.coeffs[None], z0, with_jacobian=True)
     return FlowState(grid=grid, Z=phi[0], J=jac[0],
                      Jinv=np.linalg.inv(jac[0]), z0=_as_state(z0, vf.n),

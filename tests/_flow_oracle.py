@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from roughdensity.rde import BatchFlow
+from roughdensity.rde import FlowState
 
 
 def three_mechanism_solve_batch(level1, level2, grid, vf, z0, eps=1.0,
-                                reinvert_every=64) -> BatchFlow:
+                                reinvert_every=64) -> FlowState:
     """Z, J and K ~ J^-1 for an ensemble of lifted drivers."""
     P, N, d = level1.shape
     n = vf.n
@@ -91,4 +91,4 @@ def three_mechanism_solve_batch(level1, level2, grid, vf, z0, eps=1.0,
         z = z + dz
         Z[:, i + 1] = z
 
-    return BatchFlow(grid=grid, Z=Z, J=J, Jinv=K, z0=z0, eps=eps)
+    return FlowState(grid=grid, Z=Z, J=J, Jinv=K, z0=z0, eps=eps)

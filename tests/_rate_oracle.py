@@ -20,7 +20,7 @@ from roughdensity.rde import SkeletonPropagator
 
 def penalty_rate_function(y, kernel, vf, z0, grid=None, m_nodes=16,
                           penalty_schedule=(1e2, 1e3, 1e4, 1e5),
-                          tol=1e-6, n_starts=5, seed=0, refine_factor=8,
+                          tol=1e-6, n_starts=5, seed=0,
                           max_penalty=1e10):
     """Best feasible (d2, residual, coeffs (m, d)) over the starts, or
     None when no start meets ``tol``."""
@@ -30,8 +30,7 @@ def penalty_rate_function(y, kernel, vf, z0, grid=None, m_nodes=16,
     m, d = m_nodes, vf.d
     nodes = grid.horizon * np.arange(1, m + 1) / m
     gram = np.atleast_2d(kernel.eval(nodes[:, None], nodes[None, :]))
-    prop = SkeletonPropagator(kernel, vf, grid, nodes,
-                              refine_factor=refine_factor)
+    prop = SkeletonPropagator(kernel, vf, grid, nodes)
 
     def energy(theta):
         c = theta.reshape(m, d)

@@ -38,7 +38,6 @@ from roughdensity.malliavin import (
     directional_derivative,
     interpolation_audit,
     malliavin_matrix,
-    malliavin_matrix_batch,
 )
 from roughdensity.paths import CMElement, cm_eval, cm_norm_sq, sample
 from roughdensity.rde import solve, solve_batch
@@ -152,24 +151,21 @@ def test_criterion_04_malliavin_oracle_equivalence():
         ens = sample(k, grid, d=vf.d, n_paths=50, seed=43)
         l1, l2 = lift_ensemble(ens.data)
         base = solve_batch(l1, l2, grid, vf, z0, eps=eps)
-        hs, perturbed = [], np.empty_like(ens.data)
+        shifts = np.empty((50, grid.n_steps + 1, vf.d))
+        perturbed = np.empty_like(ens.data)
         for p in range(50):
             nodes = np.sort(rng.uniform(0.1, 1.0, 3))
             coeffs = rng.standard_normal((3, vf.d))
             h = CMElement(k, nodes, coeffs)
             h = CMElement(k, nodes, coeffs / np.sqrt(cm_norm_sq(h)))
-            hs.append(h)
-            perturbed[p] = (ens.path(p)
-                            + tau * cm_eval(h, grid.nodes)).T
+            shifts[p] = cm_eval(h, grid.nodes)
+            perturbed[p] = (ens.path(p) + tau * shifts[p]).T
         p1, p2 = lift_ensemble(perturbed)
         pert = solve_batch(p1, p2, grid, vf, z0, eps=eps,
                            with_jacobian=False)
-        err = 0.0
-        for p in range(50):
-            fd = (pert.Z[p, -1] - base.Z[p, -1]) / tau
-            rp = lift(ens.path(p), grid)
-            got = directional_derivative(base.flow(p), vf, rp, hs[p], 1.0)
-            err = max(err, float(np.abs(fd - got).max()))
+        fd = (pert.Z[:, -1] - base.Z[:, -1]) / tau
+        got = directional_derivative(base, vf, l1, shifts, 1.0)
+        err = float(np.abs(fd - got).max())
         assert err <= tol, f"{name}: {err:.2e} > {tol:.1e}"
         worst[name] = err
     elapsed = time.time() - t0
@@ -187,7 +183,7 @@ def test_criterion_05_malliavin_matrix_closed_forms():
         ens = sample(k, grid, d=1, n_paths=1, seed=3)
         flow = solve(lift(ens.path(0), grid), vf, z0=[0.0])
         for t in (0.5, 1.0):
-            got = malliavin_matrix(flow, vf, k, t).gamma[0, 0]
+            got = malliavin_matrix(flow, vf, k, t)[0, 0]
             worst_add = max(worst_add, abs(got - k.sigma_sq0(t)))
     assert worst_add <= 1e-8
 
@@ -197,7 +193,7 @@ def test_criterion_05_malliavin_matrix_closed_forms():
     ens = sample(k, TimeGrid.regular(256), d=1, n_paths=20, seed=7)
     l1, l2 = lift_ensemble(ens.data)
     batch = solve_batch(l1, l2, ens.grid, geo, z0=[1.1], eps=eps)
-    gammas = malliavin_matrix_batch(batch, geo, k, 1.0)
+    gammas = malliavin_matrix(batch, geo, k, 1.0)
     worst_geo = 0.0
     for p in range(20):
         want = (eps * sigma * batch.Z[p, -1, 0]) ** 2 * k.sigma_sq0(1.0)
@@ -261,7 +257,7 @@ def test_criterion_08_first_variation_covariance():
         g = first_variation_samples(h, k, vf, [0.1], grid, n_paths=n,
                                     seed=23 + trial)
         gamma = deterministic_malliavin_matrix(h, vf, [0.1], k, grid)
-        want = gamma.gamma[0, 0]
+        want = gamma[0, 0]
         var = g[:, 0].var()
         se = var * math.sqrt(2.0 / (n - 1))
         assert abs(var - want) <= 5 * se
@@ -307,7 +303,7 @@ def test_criterion_10_varadhan_sweep():
     rate = rate_function([y], brownian(), identity_field(1), [0.0], seed=37)
     sweep = varadhan_sweep([y], brownian(), identity_field(1), [0.0],
                            eps_list=eps_list, n_paths=200_000, seed=37,
-                           rate=rate, grid=grid)
+                           d2=rate.d2, grid=grid)
     assert abs(sweep.gap) <= 0.05
     # geometric fixture
     c = 0.6
@@ -317,7 +313,7 @@ def test_criterion_10_varadhan_sweep():
     sweep_g = varadhan_sweep([math.exp(c)], brownian(),
                              scalar_linear_field(1.0), [1.0],
                              eps_list=eps_list, n_paths=200_000, seed=39,
-                             rate=rate_g, grid=grid)
+                             d2=rate_g.d2, grid=grid)
     elapsed = time.time() - t0
     assert abs(sweep_g.gap) <= 0.1
     assert elapsed < 900.0

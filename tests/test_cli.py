@@ -303,7 +303,8 @@ def per_pair_worst_error(config):
         pert = solve(lift(vals + tau * cm_eval(h, grid.nodes), grid), vf,
                      z0=z0, with_jacobian=False)
         fd = (pert.Z[-1] - base.Z[-1]) / tau
-        got = directional_derivative(base, vf, rp, h, kernel.horizon)
+        got = directional_derivative(base, vf, rp.step1,
+                                     cm_eval(h, grid.nodes), kernel.horizon)
         worst = max(worst, float(np.abs(fd - got).max()))
     return worst
 
@@ -351,3 +352,18 @@ def test_varadhan_experiment(tmp_path):
     n_iter = target["rate_function"]["n_iterations"]
     assert n_iter == len(target["rate_function"]["iterations"]) >= 1
     assert f"({n_iter} iterations)" in summarize(str(out))
+
+
+@pytest.mark.parametrize("horizon, y", [(2.0, 0.6), (0.5, 0.3)])
+def test_varadhan_sweep_at_kernel_horizon(tmp_path, horizon, y):
+    """The sweep evaluates the density at the horizon T, the time the rate
+    function targets; d2 = y^2 / 2T for Brownian motion."""
+    config = {"kernel": {"family": "fbm", "H": 0.5, "T": horizon},
+              "grid": {"n_steps": 64}, "vf": {"name": "identity"},
+              "experiment": "varadhan", "y_targets": [y],
+              "n_paths": 65536, "m_nodes": 8, "n_starts": 1, "seed": 3}
+    out = tmp_path / "out"
+    assert run(config, str(out)) == EXIT_PASS
+    target = json.loads((out / "report.json").read_text())[
+        "result"]["targets"][0]
+    assert abs(target["rate_function"]["d2"] - y * y / (2 * horizon)) <= 1e-3

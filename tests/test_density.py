@@ -301,7 +301,7 @@ def test_first_variation_covariance_matches_deterministic_matrix():
     n = 20_000
     g = first_variation_samples(h, k, vf, [0.1], grid, n_paths=n, seed=31)
     gamma = deterministic_malliavin_matrix(h, vf, [0.1], k, grid)
-    want = gamma.gamma[0, 0]
+    want = gamma[0, 0]
     se_mean = g[:, 0].std() / math.sqrt(n)
     assert abs(g[:, 0].mean()) <= 3 * se_mean
     var = g[:, 0].var()

@@ -4,6 +4,7 @@ import pytest
 from roughdensity.fields import (
     bounded_nonlinear_field,
     identity_field,
+    rotation_mix_field,
     scalar_linear_field,
 )
 from roughdensity.kernels import (
@@ -24,7 +25,6 @@ from roughdensity.malliavin import (
     directional_derivative,
     interpolation_audit,
     malliavin_matrix,
-    malliavin_matrix_batch,
     trig_corpus,
 )
 from roughdensity.paths import CMElement, cm_eval, cm_norm_sq, sample
@@ -56,10 +56,10 @@ def test_additive_kernel_trace_is_identity():
     vf = identity_field(1)
     flow, grid = solved_flow(k, vf)
     trace = derivative_kernel(flow, vf, 1.0)
-    np.testing.assert_allclose(trace.values,
+    np.testing.assert_allclose(trace,
                                np.ones((65, 1, 1)), atol=1e-12)
     # at s = t the kernel equals V(Z_t)
-    np.testing.assert_allclose(trace.values[-1], vf.v(flow.Z[-1]), atol=1e-12)
+    np.testing.assert_allclose(trace[-1], vf.v(flow.Z[-1]), atol=1e-12)
 
 
 def test_geometric_kernel_trace_constant_in_s():
@@ -68,7 +68,7 @@ def test_geometric_kernel_trace_constant_in_s():
     flow, grid = solved_flow(k, vf, z0=(1.3,), eps=0.8)
     trace = derivative_kernel(flow, vf, 1.0)
     want = 0.8 * 0.7 * flow.Z[-1, 0]
-    np.testing.assert_allclose(trace.values[:, 0, 0], want, rtol=1e-6)
+    np.testing.assert_allclose(trace[:, 0, 0], want, rtol=1e-6)
 
 
 def test_additive_matrix_all_catalog_kernels():
@@ -77,7 +77,7 @@ def test_additive_matrix_all_catalog_kernels():
         flow, grid = solved_flow(k, vf, n=128)
         for t in (0.5, 1.0):
             got = malliavin_matrix(flow, vf, k, t)
-            assert got.gamma[0, 0] == pytest.approx(k.sigma_sq0(t), abs=1e-8)
+            assert got[0, 0] == pytest.approx(k.sigma_sq0(t), abs=1e-8)
     # multidimensional additive: gamma = sigma_t^2 I
     vf2 = identity_field(2)
     k = FractionalBrownian(0.4)
@@ -85,7 +85,7 @@ def test_additive_matrix_all_catalog_kernels():
     ens = sample(k, grid, d=2, n_paths=1, seed=5)
     flow = solve(lift(ens.path(0), grid), vf2, z0=[0.0, 0.0])
     got = malliavin_matrix(flow, vf2, k, 1.0)
-    np.testing.assert_allclose(got.gamma, k.sigma_sq0(1.0) * np.eye(2),
+    np.testing.assert_allclose(got, k.sigma_sq0(1.0) * np.eye(2),
                                atol=1e-10)
 
 
@@ -96,10 +96,44 @@ def test_geometric_matrix_closed_form_per_path():
     ens = sample(k, grid, d=1, n_paths=10, seed=7)
     l1, l2 = lift_ensemble(ens.data)
     batch = solve_batch(l1, l2, grid, vf, z0=[1.1], eps=0.8)
-    gammas = malliavin_matrix_batch(batch, vf, k, 1.0)
+    gammas = malliavin_matrix(batch, vf, k, 1.0)
     for p in range(10):
         want = (0.8 * 0.9 * batch.Z[p, -1, 0]) ** 2 * k.sigma_sq0(1.0)
         assert gammas[p, 0, 0] == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("vf", [rotation_mix_field(),
+                                bounded_nonlinear_field()],
+                         ids=lambda vf: vf.name)
+def test_malliavin_functions_broadcast_over_batch(vf):
+    """On a batch from `solve_batch`, each function equals its per-path
+    single-flow result: the kernel and the directional derivative bit for
+    bit, gamma to round-off (its optimized contraction order may differ
+    with the batch axis)."""
+    k = FractionalBrownian(0.4)
+    grid = TimeGrid.regular(32)
+    ens = sample(k, grid, d=vf.d, n_paths=6, seed=21)
+    l1, l2 = lift_ensemble(ens.data)
+    batch = solve_batch(l1, l2, grid, vf, z0=[0.1] * vf.n, eps=0.8)
+    rng = np.random.default_rng(5)
+    shifts = np.stack([
+        cm_eval(CMElement(k, np.sort(rng.uniform(0.1, 1.0, 3)),
+                          rng.standard_normal((3, vf.d))), grid.nodes)
+        for _ in range(6)])
+    for t in (0.5, 1.0):
+        kern = derivative_kernel(batch, vf, t)
+        dd = directional_derivative(batch, vf, l1, shifts, t)
+        gammas = malliavin_matrix(batch, vf, k, t)
+        assert kern.shape == (6, grid.index_of(t) + 1, vf.n, vf.d)
+        assert dd.shape == (6, vf.n) and gammas.shape == (6, vf.n, vf.n)
+        for p in range(6):
+            rp = lift(ens.path(p), grid)
+            single = solve(rp, vf, z0=[0.1] * vf.n, eps=0.8)
+            assert np.array_equal(kern[p], derivative_kernel(single, vf, t))
+            assert np.array_equal(dd[p], directional_derivative(
+                single, vf, rp.step1, shifts[p], t))
+            want = malliavin_matrix(single, vf, k, t)
+            assert np.abs(gammas[p] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_matrix_at_time_zero_is_zero():
@@ -107,7 +141,7 @@ def test_matrix_at_time_zero_is_zero():
     vf = identity_field(1)
     flow, grid = solved_flow(k, vf)
     got = malliavin_matrix(flow, vf, k, 0.0)
-    assert np.all(got.gamma == 0.0)
+    assert np.all(got == 0.0)
 
 
 def test_matrix_symmetry_and_psd_on_samples():
@@ -117,7 +151,7 @@ def test_matrix_symmetry_and_psd_on_samples():
     ens = sample(k, grid, d=1, n_paths=50, seed=11)
     l1, l2 = lift_ensemble(ens.data)
     batch = solve_batch(l1, l2, grid, vf, z0=[0.1], eps=1.0)
-    gammas = malliavin_matrix_batch(batch, vf, k, 1.0)
+    gammas = malliavin_matrix(batch, vf, k, 1.0)
     np.testing.assert_allclose(gammas, np.swapaxes(gammas, -1, -2),
                                atol=1e-14)
     eigs = np.linalg.eigvalsh(gammas)
@@ -149,12 +183,13 @@ def test_pathwise_directional_derivative_oracle():
             pert = solve(lift(pert_vals, grid), vf, z0=z0,
                          with_jacobian=False, eps=eps)
             fd = (pert.Z[-1] - base.Z[-1]) / tau
-            got = directional_derivative(base, vf, rp, h, 1.0)
+            got = directional_derivative(base, vf, rp.step1,
+                                         cm_eval(h, grid.nodes), 1.0)
             assert np.abs(fd - got).max() <= max(1e-4, 3 * tau)
             # plain left-endpoint pairing agrees at first order in the mesh
             trace = derivative_kernel(base, vf, 1.0)
             dh = np.diff(cm_eval(h, grid.nodes), axis=0)
-            rough = np.einsum("sad,sd->a", trace.values[:-1], dh)
+            rough = np.einsum("sad,sd->a", trace[:-1], dh)
             assert np.abs(fd - rough).max() <= 5e-3
 
 
@@ -164,11 +199,11 @@ def test_deterministic_matrix_additive_and_flat():
     vf = identity_field(1)
     h0 = CMElement(k, [0.5], [0.0])
     got = deterministic_malliavin_matrix(h0, vf, [0.3], k, grid)
-    assert got.gamma[0, 0] == pytest.approx(k.sigma_sq0(1.0), abs=1e-8)
+    assert got[0, 0] == pytest.approx(k.sigma_sq0(1.0), abs=1e-8)
     # V constant: gamma independent of h
     h1 = CMElement(k, [0.25, 0.75], [1.5, -0.5])
     got1 = deterministic_malliavin_matrix(h1, vf, [0.3], k, grid)
-    assert got1.gamma[0, 0] == pytest.approx(got.gamma[0, 0], rel=1e-12)
+    assert got1[0, 0] == pytest.approx(got[0, 0], rel=1e-12)
 
 
 def test_deterministic_matrix_nondegenerate_for_elliptic_field():
@@ -180,7 +215,7 @@ def test_deterministic_matrix_nondegenerate_for_elliptic_field():
         nodes = np.sort(rng.uniform(0.1, 1.0, 4))
         h = CMElement(k, nodes, rng.standard_normal((4, 1)))
         got = deterministic_malliavin_matrix(h, vf, [0.1], k, grid)
-        assert got.eigenvalues[0] > 0
+        assert np.linalg.eigvalsh(got)[0] > 0
 
 
 def test_inverse_eigenvalue_quantiles_scale_like_variance():
@@ -194,7 +229,7 @@ def test_inverse_eigenvalue_quantiles_scale_like_variance():
     batch = solve_batch(l1, l2, grid, vf, z0=[0.1], eps=1.0)
     scaled = []
     for t in (0.25, 0.5, 1.0):
-        gammas = malliavin_matrix_batch(batch, vf, k, t)
+        gammas = malliavin_matrix(batch, vf, k, t)
         inv_min = 1.0 / np.linalg.eigvalsh(gammas)[:, 0]
         q = np.quantile(inv_min, 0.9)
         scaled.append(q * k.sigma_sq0(t))

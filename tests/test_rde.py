@@ -185,7 +185,7 @@ def test_blow_up_guard():
     ramp = (0.9 * np.arange(65, dtype=float))[:, None]
     try:
         solve(lift(ramp, grid2), scalar_linear_field(1.0), z0=[1e7],
-              eps=0.9, guard=1e8)
+              eps=0.9)
     except BlowUpError as err:
         assert err.last_valid_step >= 1
     else:
