@@ -3,7 +3,8 @@ program: rate-function minimization and the vanishing-noise sweep.
 
 All Monte Carlo flows through counter-based per-path streams, so results
 are identical for any chunking/worker layout; reductions run in fixed
-chunk order.
+chunk order.  A chunk enters the flow solver as its level-1 increments
+(`lift_ensemble`); the solver forms each step's level 2 itself.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
         off, size = off_size
         ens = sample(kernel, grid, d=vf.d, n_paths=size, seed=seed,
                      path_offset=off, chol=chol)
-        l1, l2 = lift_ensemble(ens.data)
+        level1 = lift_ensemble(ens.data)
         outs = []
         for eps in eps_list:
-            batch = solve_batch(l1, l2, grid, vf, z0, eps=eps,
+            batch = solve_batch(level1, grid, vf, z0, eps=eps,
                                 with_jacobian=False)
             if collect == "terminal":
                 outs.append(batch.Z[:, idx, :].copy())
@@ -506,6 +507,6 @@ def first_variation_samples(h: CMElement, kernel: CovKernel,
     for off, size in _chunk_ranges(n_paths):
         ens = sample(kernel, grid, d=vf.d, n_paths=size, seed=seed,
                      path_offset=off, chol=chol)
-        dx = np.diff(ens.data, axis=2).transpose(0, 2, 1)   # (P, N, d)
-        out[off: off + size] = np.einsum("sad,psd->pa", w, dx)
+        out[off: off + size] = np.einsum("sad,psd->pa", w,
+                                         lift_ensemble(ens.data))
     return out

@@ -175,12 +175,11 @@ def lift(values: np.ndarray, grid: TimeGrid) -> RoughPath2:
     return RoughPath2(grid=grid, step1=step1, step2=step2)
 
 
-def lift_ensemble(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step level data for a whole ensemble (n_paths, d, n_nodes):
-    returns (level1 (P, N, d), level2 (P, N, d, d))."""
-    step1 = np.diff(data, axis=2).transpose(0, 2, 1)
-    step2 = 0.5 * np.einsum("pia,pib->piab", step1, step1)
-    return step1, step2
+def lift_ensemble(data: np.ndarray) -> np.ndarray:
+    """Level-1 increments (P, N, d) of an ensemble's node values
+    (n_paths, d, n_nodes).  Their level 2 is the piecewise-linear lift's
+    (1/2) x^1 (x) x^1, which the flow solvers form step by step."""
+    return np.diff(data, axis=2).transpose(0, 2, 1)
 
 
 def rough_norm(rp: RoughPath2, p: float) -> float:

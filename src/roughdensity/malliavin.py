@@ -60,12 +60,13 @@ def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
     ``level1`` holds the driver's level-1 increments (..., N, d) and
     ``shift`` the trace of h at the grid nodes (..., N+1, d), so each flow
     of a batch can have its own h.  Contracts the derivative kernel with dh
-    through the same one-step quadrature as the flow solver (including the
-    mixed level-2 channel).  The flow's J is the exact derivative of the
-    discrete step map and Jinv is J^-1, so J_t J_{s+1}^-1 is the exact
-    derivative of Z_t in Z_{s+1} and the result is the exact adjoint of the
-    discrete flow map, up to round-off; it matches the continuous pairing
-    to scheme order.
+    through the same one-step quadrature as the flow solver; its mixed
+    level-2 channel (1/2)(dh (x) dx + dx (x) dh) is the derivative along h
+    of the solver's in-step (1/2) x^1 (x) x^1.  The flow's J is the exact
+    derivative of the discrete step map and Jinv is J^-1, so
+    J_t J_{s+1}^-1 is the exact derivative of Z_t in Z_{s+1} and the
+    result is the exact adjoint of the discrete flow map, up to round-off;
+    it matches the continuous pairing to scheme order.
     """
     if flow.J is None or flow.Jinv is None:
         raise ValueError("flow was solved without the Jacobian pair")

@@ -1,11 +1,11 @@
 """Flow solvers: the rough differential equation with its Jacobian pair,
 and the smooth skeleton ODE driven by Cameron-Martin elements.
 
-The RDE stepper is a one-step second-order Taylor update consuming level-2
-data, with time adjoined as a smooth zeroth component (weights dt^2/2 and
-dt dx/2 for the drift blocks).  The Jacobian J is propagated through the
-exact derivative of that step map, and its inverse is one batched
-inversion of J over every node.
+The RDE stepper is a one-step second-order Taylor update driven by level-1
+increments; each step forms the piecewise-linear lift's level 2,
+x^2 = (1/2) x^1 (x) x^1, itself.  Time is adjoined as a smooth zeroth
+component (weights dt^2/2 and dt dx/2 for the drift blocks).  J is the
+exact derivative of the step map, and Jinv one batched inversion of J.
 
 Every solve returns a `FlowState`: one record for a single flow, a batch
 of flows along leading axes, and a skeleton flow.
@@ -19,7 +19,6 @@ import numpy as np
 
 from .fields import VectorFieldSystem
 from .kernels import TimeGrid
-from .lift import RoughPath2
 from .paths import CMElement
 
 
@@ -58,20 +57,20 @@ def _as_state(z0, n: int) -> np.ndarray:
     return z
 
 
-def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
-                vf: VectorFieldSystem, z0, eps: float = 1.0,
-                with_jacobian: bool = True) -> FlowState:
-    """Second-order one-step scheme over an ensemble of lifted drivers.
+def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
+                z0, eps: float = 1.0, with_jacobian: bool = True) -> FlowState:
+    """Second-order one-step scheme over an ensemble of drivers.
 
-    ``level1``: (P, N, d) increments, ``level2``: (P, N, d, d) iterated
-    integrals; the driver enters scaled by ``eps``.  With the Jacobian,
-    each step forms A_i = d(dz_i)/dz once, (P, n, n), and updates
-    J <- J + A_i J, so J is the exact derivative of the discrete map; Jinv
-    is np.linalg.inv(J) over all (P, N+1) nodes after the loop.  The flow
-    has a leading path axis: Z is (P, N+1, n), J and Jinv (P, N+1, n, n).
+    ``level1``: (P, N, d) increments of the drivers' node values, scaled
+    by ``eps``; step i forms the level 2 eps^2 (1/2) dx (x) dx of the
+    unscaled dx = level1[:, i].  With the Jacobian, each step forms
+    A_i = d(dz_i)/dz once, (P, n, n), and updates J <- J + A_i J, so J is
+    the exact derivative of the discrete map; Jinv is np.linalg.inv(J)
+    over all (P, N+1) nodes.  The flow has a leading path axis: Z is
+    (P, N+1, n), J and Jinv (P, N+1, n, n).
     """
     P, N, d = level1.shape
-    if d != vf.d or level2.shape != (P, N, d, d) or N != grid.n_steps:
+    if d != vf.d or N != grid.n_steps:
         raise ValueError("driver dimensions inconsistent with field/grid")
     n = vf.n
     z0 = _as_state(z0, n)
@@ -92,8 +91,9 @@ def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
 
     for i in range(N):
         dt = dts[i]
-        x1 = eps * level1[:, i]                    # (P, d)
-        x2 = (eps * eps) * level2[:, i]            # (P, d, d)
+        dx = level1[:, i]                          # (P, d)
+        x1 = eps * dx
+        x2 = (eps * eps) * (0.5 * (dx[:, :, None] * dx[:, None, :]))
         v0 = vf.v0(z)
         v = vf.v(z)
         dv0 = vf.dv0(z)
@@ -136,11 +136,13 @@ def solve_batch(level1: np.ndarray, level2: np.ndarray, grid: TimeGrid,
     return FlowState(grid=grid, Z=Z, J=J, Jinv=Jinv, z0=z0, eps=eps)
 
 
-def solve(rp: RoughPath2, vf: VectorFieldSystem, z0, eps: float = 1.0,
-          with_jacobian: bool = True) -> FlowState:
-    """Solve along a single lifted driver: a batch of one, unwrapped."""
-    flow = solve_batch(rp.step1[None], rp.step2[None], rp.grid, vf, z0,
-                       eps=eps, with_jacobian=with_jacobian)
+def solve(values: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
+          eps: float = 1.0, with_jacobian: bool = True) -> FlowState:
+    """Solve along one path's node ``values``, shaped (N+1,) or (N+1, d):
+    a batch of one, unwrapped."""
+    vals = np.asarray(values, dtype=float)
+    flow = solve_batch(np.diff(vals.reshape(len(vals), -1), axis=0)[None],
+                       grid, vf, z0, eps=eps, with_jacobian=with_jacobian)
     return FlowState(grid=flow.grid, Z=flow.Z[0],
                      J=None if flow.J is None else flow.J[0],
                      Jinv=None if flow.Jinv is None else flow.Jinv[0],

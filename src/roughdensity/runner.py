@@ -310,18 +310,17 @@ def _exp_audit_malliavin(config, kernel, grid, out_dir, workers, gate):
         h = CMElement(kernel, nodes, coeffs)
         hs.append(CMElement(kernel, nodes, coeffs / np.sqrt(cm_norm_sq(h))))
     shifts = np.stack([cm_eval(h, grid.nodes) for h in hs])  # (P, N+1, d)
-    l1, l2 = lift_ensemble(ens.data)
-    base = solve_batch(l1, l2, grid, vf, z0, eps=eps)
-    pert = solve_batch(*lift_ensemble(ens.data
-                                      + tau * shifts.transpose(0, 2, 1)),
+    level1 = lift_ensemble(ens.data)
+    base = solve_batch(level1, grid, vf, z0, eps=eps)
+    pert = solve_batch(lift_ensemble(ens.data
+                                     + tau * shifts.transpose(0, 2, 1)),
                        grid, vf, z0, eps=eps, with_jacobian=False)
     fd = (pert.Z[:, -1] - base.Z[:, -1]) / tau
-    got = directional_derivative(base, vf, l1, shifts, kernel.horizon)
+    got = directional_derivative(base, vf, level1, shifts, kernel.horizon)
     worst = float(np.abs(fd - got).max())
     # gamma sanity on a fresh small ensemble
     ens2 = sample(kernel, grid, d=vf.d, n_paths=64, seed=seed + 2)
-    l1, l2 = lift_ensemble(ens2.data)
-    batch = solve_batch(l1, l2, grid, vf, z0, eps=eps)
+    batch = solve_batch(lift_ensemble(ens2.data), grid, vf, z0, eps=eps)
     gammas = malliavin_matrix(batch, vf, kernel, kernel.horizon)
     sym_err = float(np.abs(gammas - np.swapaxes(gammas, -1, -2)).max())
     eigs = np.linalg.eigvalsh(gammas)
@@ -361,48 +360,44 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
     grid = _grid_from(config, kernel)
     experiment = config["experiment"]
 
-    gate_report = None
+    t = config.get("t")
+    if t is not None and experiment in ("density", "tails", "varadhan"):
+        try:
+            idx = grid.index_of(float(t))
+        except ValueError:
+            idx = None
+        if idx is None or (experiment == "varadhan" and idx != grid.n_steps):
+            where = "the horizon" if experiment == "varadhan" else "a node"
+            raise ConfigError(
+                f"{experiment}: t = {t:g} is not {where} of the grid "
+                f"({grid.n_steps} steps on [0, {grid.horizon:g}])")
+
+    gate_report, error = None, None
     if experiment in GATED_EXPERIMENTS:
         gate_report = check_hypotheses(kernel, grid)
         if not gate_report.passed:
-            report = {
-                "config": _jsonable(config),
-                "experiment": experiment,
-                "gate": gate_report.to_json(),
-                "pass": False,
-                "error": "hypothesis gate failed",
-            }
-            _emit(out, config, report)
-            return EXIT_GATE
+            code, error = EXIT_GATE, "hypothesis gate failed"
+    if error is None:
+        try:
+            result, criteria = _EXPERIMENTS[experiment](
+                config, kernel, grid, out, workers, gate_report)
+        except (NonEllipticError, HypothesisGateError) as err:
+            code, error = EXIT_GATE, str(err)
+        except (NoiseFloorError, TargetUnreachableError) as err:
+            code, error = EXIT_FAIL, str(err)
 
-    try:
-        result, criteria = _EXPERIMENTS[experiment](config, kernel, grid,
-                                                    out, workers, gate_report)
-    except (NonEllipticError, HypothesisGateError) as err:
-        report = {"config": _jsonable(config), "experiment": experiment,
-                  "pass": False, "error": str(err)}
-        if gate_report is not None:
-            report["gate"] = gate_report.to_json()
-        _emit(out, config, report)
-        return EXIT_GATE
-    except (NoiseFloorError, TargetUnreachableError) as err:
-        report = {"config": _jsonable(config), "experiment": experiment,
-                  "pass": False, "error": str(err)}
-        _emit(out, config, report)
-        return EXIT_FAIL
-
-    passed = all(c["pass"] for c in criteria)
-    report = {
-        "config": _jsonable(config),
-        "experiment": experiment,
-        "result": _jsonable(result),
-        "criteria": _jsonable(criteria),
-        "pass": bool(passed),
-    }
+    report = {"config": _jsonable(config), "experiment": experiment}
+    if error is None:
+        passed = all(c["pass"] for c in criteria)
+        code = EXIT_PASS if passed else EXIT_FAIL
+        report.update({"result": _jsonable(result),
+                       "criteria": _jsonable(criteria), "pass": passed})
+    else:
+        report.update({"pass": False, "error": error})
     if gate_report is not None:
         report["gate"] = gate_report.to_json()
     _emit(out, config, report)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return code
 
 
 def _emit(out: Path, config: dict, report: dict) -> None:

@@ -122,8 +122,8 @@ def test_criterion_03_rough_path_correctness():
     for factor in (1, 2, 4, 8):
         vals = refine_linear(base_vals, factor)
         grid = base_grid.refine(factor)
-        fs = solve(lift(vals, grid), scalar_linear_field(1.0), z0=[1.0],
-                   eps=1.0, with_jacobian=False)
+        fs = solve(vals, grid, scalar_linear_field(1.0), z0=[1.0], eps=1.0,
+                   with_jacobian=False)
         errs.append(abs(fs.Z[-1, 0] - math.exp(base_vals[-1, 0])))
         ns.append(grid.n_steps)
     order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
@@ -149,8 +149,8 @@ def test_criterion_04_malliavin_oracle_equivalence():
     rng = np.random.default_rng(41)
     for name, vf, k, z0, eps in fixtures:
         ens = sample(k, grid, d=vf.d, n_paths=50, seed=43)
-        l1, l2 = lift_ensemble(ens.data)
-        base = solve_batch(l1, l2, grid, vf, z0, eps=eps)
+        l1 = lift_ensemble(ens.data)
+        base = solve_batch(l1, grid, vf, z0, eps=eps)
         shifts = np.empty((50, grid.n_steps + 1, vf.d))
         perturbed = np.empty_like(ens.data)
         for p in range(50):
@@ -160,8 +160,7 @@ def test_criterion_04_malliavin_oracle_equivalence():
             h = CMElement(k, nodes, coeffs / np.sqrt(cm_norm_sq(h)))
             shifts[p] = cm_eval(h, grid.nodes)
             perturbed[p] = (ens.path(p) + tau * shifts[p]).T
-        p1, p2 = lift_ensemble(perturbed)
-        pert = solve_batch(p1, p2, grid, vf, z0, eps=eps,
+        pert = solve_batch(lift_ensemble(perturbed), grid, vf, z0, eps=eps,
                            with_jacobian=False)
         fd = (pert.Z[:, -1] - base.Z[:, -1]) / tau
         got = directional_derivative(base, vf, l1, shifts, 1.0)
@@ -181,7 +180,7 @@ def test_criterion_05_malliavin_matrix_closed_forms():
     worst_add = 0.0
     for k in full_catalog():
         ens = sample(k, grid, d=1, n_paths=1, seed=3)
-        flow = solve(lift(ens.path(0), grid), vf, z0=[0.0])
+        flow = solve(ens.path(0), grid, vf, z0=[0.0])
         for t in (0.5, 1.0):
             got = malliavin_matrix(flow, vf, k, t)[0, 0]
             worst_add = max(worst_add, abs(got - k.sigma_sq0(t)))
@@ -191,8 +190,8 @@ def test_criterion_05_malliavin_matrix_closed_forms():
     sigma, eps = 0.9, 1.0
     geo = scalar_linear_field(sigma)
     ens = sample(k, TimeGrid.regular(256), d=1, n_paths=20, seed=7)
-    l1, l2 = lift_ensemble(ens.data)
-    batch = solve_batch(l1, l2, ens.grid, geo, z0=[1.1], eps=eps)
+    batch = solve_batch(lift_ensemble(ens.data), ens.grid, geo, z0=[1.1],
+                        eps=eps)
     gammas = malliavin_matrix(batch, geo, k, 1.0)
     worst_geo = 0.0
     for p in range(20):

@@ -13,7 +13,6 @@ import roughdensity
 from roughdensity.cli import main
 from roughdensity.fields import field_from_spec
 from roughdensity.kernels import TimeGrid, kernel_from_spec
-from roughdensity.lift import lift
 from roughdensity.malliavin import directional_derivative
 from roughdensity.paths import (
     RNG_SCHEME,
@@ -140,6 +139,33 @@ def test_gated_experiment_exits_3(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["pass"] is False
     assert report["gate"]["pass"] is False
+
+
+@pytest.mark.parametrize("experiment, t", [
+    ("density", 0.3), ("tails", 0.3), ("varadhan", 0.5)])
+def test_t_off_the_grid_exits_2(tmp_path, capsys, experiment, t):
+    """density and tails need t on the grid; the Varadhan sweep runs at the
+    horizon, so there t = 0.5 (a node of 16 steps) is refused too."""
+    config = {**DENSITY_SMALL, "grid": {"n_steps": 16},
+              "experiment": experiment, "t": t, "y_targets": [0.5]}
+    cfg = write_config(tmp_path, config)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"t = {t:g}" in err and "16 steps on [0, 1]" in err
+
+
+def test_noise_floor_report_keeps_gate(tmp_path):
+    config = {"kernel": {"family": "fbm", "H": 0.5, "T": 1.0},
+              "grid": {"n_steps": 16}, "vf": {"name": "identity"},
+              "experiment": "varadhan", "n_paths": 50, "y_targets": [3.0],
+              "m_nodes": 4, "n_starts": 1, "seed": 0}
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FAIL
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False and "noise floor" in report["error"]
+    assert report["gate"]["pass"] is True
 
 
 def test_density_run_and_report(tmp_path):
@@ -298,12 +324,11 @@ def per_pair_worst_error(config):
         coeffs = rng.standard_normal((3, vf.d))
         h = CMElement(kernel, nodes, coeffs)
         h = CMElement(kernel, nodes, coeffs / np.sqrt(cm_norm_sq(h)))
-        rp = lift(vals, grid)
-        base = solve(rp, vf, z0=z0)
-        pert = solve(lift(vals + tau * cm_eval(h, grid.nodes), grid), vf,
-                     z0=z0, with_jacobian=False)
+        base = solve(vals, grid, vf, z0=z0)
+        pert = solve(vals + tau * cm_eval(h, grid.nodes), grid, vf, z0=z0,
+                     with_jacobian=False)
         fd = (pert.Z[-1] - base.Z[-1]) / tau
-        got = directional_derivative(base, vf, rp.step1,
+        got = directional_derivative(base, vf, np.diff(vals, axis=0),
                                      cm_eval(h, grid.nodes), kernel.horizon)
         worst = max(worst, float(np.abs(fd - got).max()))
     return worst

@@ -144,11 +144,10 @@ def test_rough_norm_monotone_in_horizon():
 
 def test_lift_ensemble_matches_single_lifts():
     ens = sample(brownian(), TimeGrid.regular(16), d=2, n_paths=3, seed=2)
-    l1, l2 = lift_ensemble(ens.data)
+    l1 = lift_ensemble(ens.data)
     for p in range(3):
         rp = lift(ens.path(p), ens.grid)
         np.testing.assert_array_equal(l1[p], rp.step1)
-        np.testing.assert_array_equal(l2[p], rp.step2)
 
 
 def test_refine_linear_midpoints():

@@ -17,7 +17,7 @@ from roughdensity.kernels import (
     brownian,
     kernel_from_spec,
 )
-from roughdensity.lift import lift, lift_ensemble
+from roughdensity.lift import lift_ensemble
 from roughdensity.malliavin import (
     HypothesisGateError,
     derivative_kernel,
@@ -48,7 +48,7 @@ def catalog():
 def solved_flow(kernel, vf, n=64, seed=0, z0=(0.2,), eps=1.0):
     grid = TimeGrid.regular(n)
     ens = sample(kernel, grid, d=vf.d, n_paths=1, seed=seed)
-    return solve(lift(ens.path(0), grid), vf, z0=list(z0), eps=eps), grid
+    return solve(ens.path(0), grid, vf, z0=list(z0), eps=eps), grid
 
 
 def test_additive_kernel_trace_is_identity():
@@ -83,7 +83,7 @@ def test_additive_matrix_all_catalog_kernels():
     k = FractionalBrownian(0.4)
     grid = TimeGrid.regular(32)
     ens = sample(k, grid, d=2, n_paths=1, seed=5)
-    flow = solve(lift(ens.path(0), grid), vf2, z0=[0.0, 0.0])
+    flow = solve(ens.path(0), grid, vf2, z0=[0.0, 0.0])
     got = malliavin_matrix(flow, vf2, k, 1.0)
     np.testing.assert_allclose(got, k.sigma_sq0(1.0) * np.eye(2),
                                atol=1e-10)
@@ -94,8 +94,7 @@ def test_geometric_matrix_closed_form_per_path():
     vf = scalar_linear_field(0.9)
     grid = TimeGrid.regular(64)
     ens = sample(k, grid, d=1, n_paths=10, seed=7)
-    l1, l2 = lift_ensemble(ens.data)
-    batch = solve_batch(l1, l2, grid, vf, z0=[1.1], eps=0.8)
+    batch = solve_batch(lift_ensemble(ens.data), grid, vf, z0=[1.1], eps=0.8)
     gammas = malliavin_matrix(batch, vf, k, 1.0)
     for p in range(10):
         want = (0.8 * 0.9 * batch.Z[p, -1, 0]) ** 2 * k.sigma_sq0(1.0)
@@ -113,8 +112,8 @@ def test_malliavin_functions_broadcast_over_batch(vf):
     k = FractionalBrownian(0.4)
     grid = TimeGrid.regular(32)
     ens = sample(k, grid, d=vf.d, n_paths=6, seed=21)
-    l1, l2 = lift_ensemble(ens.data)
-    batch = solve_batch(l1, l2, grid, vf, z0=[0.1] * vf.n, eps=0.8)
+    l1 = lift_ensemble(ens.data)
+    batch = solve_batch(l1, grid, vf, z0=[0.1] * vf.n, eps=0.8)
     rng = np.random.default_rng(5)
     shifts = np.stack([
         cm_eval(CMElement(k, np.sort(rng.uniform(0.1, 1.0, 3)),
@@ -127,11 +126,11 @@ def test_malliavin_functions_broadcast_over_batch(vf):
         assert kern.shape == (6, grid.index_of(t) + 1, vf.n, vf.d)
         assert dd.shape == (6, vf.n) and gammas.shape == (6, vf.n, vf.n)
         for p in range(6):
-            rp = lift(ens.path(p), grid)
-            single = solve(rp, vf, z0=[0.1] * vf.n, eps=0.8)
+            vals = ens.path(p)
+            single = solve(vals, grid, vf, z0=[0.1] * vf.n, eps=0.8)
             assert np.array_equal(kern[p], derivative_kernel(single, vf, t))
             assert np.array_equal(dd[p], directional_derivative(
-                single, vf, rp.step1, shifts[p], t))
+                single, vf, np.diff(vals, axis=0), shifts[p], t))
             want = malliavin_matrix(single, vf, k, t)
             assert np.abs(gammas[p] - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -149,8 +148,7 @@ def test_matrix_symmetry_and_psd_on_samples():
     vf = bounded_nonlinear_field()
     grid = TimeGrid.regular(64)
     ens = sample(k, grid, d=1, n_paths=50, seed=11)
-    l1, l2 = lift_ensemble(ens.data)
-    batch = solve_batch(l1, l2, grid, vf, z0=[0.1], eps=1.0)
+    batch = solve_batch(lift_ensemble(ens.data), grid, vf, z0=[0.1], eps=1.0)
     gammas = malliavin_matrix(batch, vf, k, 1.0)
     np.testing.assert_allclose(gammas, np.swapaxes(gammas, -1, -2),
                                atol=1e-14)
@@ -177,13 +175,12 @@ def test_pathwise_directional_derivative_oracle():
             coeffs = rng.standard_normal((3, vf.d))
             h = CMElement(k, nodes, coeffs)
             h = CMElement(k, nodes, coeffs / np.sqrt(cm_norm_sq(h)))
-            rp = lift(vals, grid)
-            base = solve(rp, vf, z0=z0, eps=eps)
+            base = solve(vals, grid, vf, z0=z0, eps=eps)
             pert_vals = vals + tau * cm_eval(h, grid.nodes)
-            pert = solve(lift(pert_vals, grid), vf, z0=z0,
-                         with_jacobian=False, eps=eps)
+            pert = solve(pert_vals, grid, vf, z0=z0, with_jacobian=False,
+                         eps=eps)
             fd = (pert.Z[-1] - base.Z[-1]) / tau
-            got = directional_derivative(base, vf, rp.step1,
+            got = directional_derivative(base, vf, np.diff(vals, axis=0),
                                          cm_eval(h, grid.nodes), 1.0)
             assert np.abs(fd - got).max() <= max(1e-4, 3 * tau)
             # plain left-endpoint pairing agrees at first order in the mesh
@@ -225,8 +222,7 @@ def test_inverse_eigenvalue_quantiles_scale_like_variance():
     vf = bounded_nonlinear_field()
     grid = TimeGrid.regular(128)
     ens = sample(k, grid, d=1, n_paths=10_000, seed=23)
-    l1, l2 = lift_ensemble(ens.data)
-    batch = solve_batch(l1, l2, grid, vf, z0=[0.1], eps=1.0)
+    batch = solve_batch(lift_ensemble(ens.data), grid, vf, z0=[0.1], eps=1.0)
     scaled = []
     for t in (0.25, 0.5, 1.0):
         gammas = malliavin_matrix(batch, vf, k, t)

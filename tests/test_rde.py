@@ -30,8 +30,7 @@ def bm_path(n=256, seed=0, d=1):
 
 def test_additive_equation_is_exact():
     vals, grid = bm_path(n=64, seed=1, d=2)
-    rp = lift(vals, grid)
-    fs = solve(rp, identity_field(2), z0=[0.5, -1.0], eps=0.7)
+    fs = solve(vals, grid, identity_field(2), z0=[0.5, -1.0], eps=0.7)
     want = np.array([0.5, -1.0]) + 0.7 * vals
     np.testing.assert_allclose(fs.Z, want, atol=1e-12)
     # additive: J = Jinv = Id everywhere
@@ -46,7 +45,7 @@ def test_pure_drift_ode_second_order():
     for n in (16, 32, 64, 128):
         grid = TimeGrid.regular(n)
         zeros = np.zeros((grid.n_steps + 1, 1))
-        fs = solve(lift(zeros, grid), vf, z0=[2.0], eps=0.0)
+        fs = solve(zeros, grid, vf, z0=[2.0], eps=0.0)
         errs.append(abs(fs.Z[-1, 0] - 2.0 * np.exp(-1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() > 1.9
@@ -54,9 +53,8 @@ def test_pure_drift_ode_second_order():
 
 def test_geometric_fixture_matches_exponential():
     vals, grid = bm_path(n=256, seed=3)
-    rp = lift(vals, grid)
     sigma, eps = 0.8, 0.9
-    fs = solve(rp, scalar_linear_field(sigma), z0=[1.5], eps=eps)
+    fs = solve(vals, grid, scalar_linear_field(sigma), z0=[1.5], eps=eps)
     want = 1.5 * np.exp(sigma * eps * vals[:, 0])
     np.testing.assert_allclose(fs.Z[:, 0], want, rtol=5e-3)
     # Jacobian of the geometric flow is Z_t / z0
@@ -72,8 +70,8 @@ def test_scheme_order_on_refined_driver():
     for factor in (1, 2, 4, 8):
         vals = refine_linear(base_vals, factor)
         grid = base_grid.refine(factor)
-        fs = solve(lift(vals, grid), scalar_linear_field(1.0), z0=[1.0],
-                   eps=1.0, with_jacobian=False)
+        fs = solve(vals, grid, scalar_linear_field(1.0), z0=[1.0], eps=1.0,
+                   with_jacobian=False)
         errs.append(abs(fs.Z[-1, 0] - np.exp(base_vals[-1, 0])))
         ns.append(grid.n_steps)
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
@@ -82,18 +80,25 @@ def test_scheme_order_on_refined_driver():
 
 def test_epsilon_consistency_bitwise():
     vals, grid = bm_path(n=64, seed=7)
-    rp = lift(vals, grid)
     eps = 0.5   # power of two: scaling is exact in floats
-    a = solve(rp, bounded_nonlinear_field(), z0=[0.2], eps=eps)
-    b = solve(rp.scale(eps), bounded_nonlinear_field(), z0=[0.2], eps=1.0)
+    a = solve(vals, grid, bounded_nonlinear_field(), z0=[0.2], eps=eps)
+    b = solve(eps * vals, grid, bounded_nonlinear_field(), z0=[0.2], eps=1.0)
+    assert np.array_equal(a.Z, b.Z)
+    assert np.array_equal(a.J, b.J)
+
+
+def test_solve_accepts_one_dimensional_values():
+    vals, grid = bm_path(n=64, seed=19)
+    a = solve(vals[:, 0], grid, bounded_nonlinear_field(), z0=[0.2], eps=0.8)
+    b = solve(vals, grid, bounded_nonlinear_field(), z0=[0.2], eps=0.8)
+    assert vals.shape == (65, 1)
     assert np.array_equal(a.Z, b.Z)
     assert np.array_equal(a.J, b.J)
 
 
 def test_jacobian_inverse_consistency():
     vals, grid = bm_path(n=512, seed=11, d=2)
-    rp = lift(vals, grid)
-    fs = solve(rp, rotation_mix_field(), z0=[0.3, -0.2], eps=0.6)
+    fs = solve(vals, grid, rotation_mix_field(), z0=[0.3, -0.2], eps=0.6)
     prod = np.einsum("tab,tbc->tac", fs.J, fs.Jinv)
     err = np.abs(prod - np.eye(2)).max()
     assert err <= 1e-12
@@ -110,13 +115,15 @@ def fbm_drivers(vf, n=128, n_paths=6, seed=31):
     grid = TimeGrid.regular(n)
     ens = sample(FractionalBrownian(0.4), grid, d=vf.d, n_paths=n_paths,
                  seed=seed)
-    return (*lift_ensemble(ens.data), grid)
+    # the oracle takes level 2 as data: the lift's, path by path
+    level2 = np.stack([lift(ens.path(p), grid).step2 for p in range(n_paths)])
+    return lift_ensemble(ens.data), level2, grid
 
 
 @FLOW_FIXTURES
 def test_jacobian_matches_three_mechanism_oracle(vf, z0):
     l1, l2, grid = fbm_drivers(vf)
-    new = solve_batch(l1, l2, grid, vf, z0, eps=0.8)
+    new = solve_batch(l1, grid, vf, z0, eps=0.8)
     old = three_mechanism_solve_batch(l1, l2, grid, vf, z0, eps=0.8)
     assert np.array_equal(new.Z, old.Z)
     np.testing.assert_allclose(new.J, old.J, rtol=0,
@@ -131,14 +138,14 @@ def test_jacobian_matches_three_mechanism_oracle(vf, z0):
 
 @FLOW_FIXTURES
 def test_terminal_jacobian_matches_central_differences(vf, z0):
-    l1, l2, grid = fbm_drivers(vf, n_paths=3)
-    flow = solve_batch(l1, l2, grid, vf, z0, eps=0.8)
+    l1, _, grid = fbm_drivers(vf, n_paths=3)
+    flow = solve_batch(l1, grid, vf, z0, eps=0.8)
     step = 1e-6
     for c in range(vf.n):
         bump = step * np.eye(vf.n)[c]
-        up = solve_batch(l1, l2, grid, vf, np.add(z0, bump), eps=0.8,
+        up = solve_batch(l1, grid, vf, np.add(z0, bump), eps=0.8,
                          with_jacobian=False)
-        down = solve_batch(l1, l2, grid, vf, np.subtract(z0, bump), eps=0.8,
+        down = solve_batch(l1, grid, vf, np.subtract(z0, bump), eps=0.8,
                            with_jacobian=False)
         fd = (up.Z[:, -1] - down.Z[:, -1]) / (2 * step)
         np.testing.assert_allclose(flow.J[:, -1, :, c], fd, rtol=1e-7,
@@ -147,13 +154,12 @@ def test_terminal_jacobian_matches_central_differences(vf, z0):
 
 def test_flow_property_restart():
     vals, grid = bm_path(n=512, seed=13)
-    rp = lift(vals, grid)
     vf = bounded_nonlinear_field()
-    fs = solve(rp, vf, z0=[0.4], eps=0.8)
+    fs = solve(vals, grid, vf, z0=[0.4], eps=0.8)
     mid = 256
     sub_grid = TimeGrid(nodes=grid.nodes[mid:] - grid.nodes[mid])
-    sub_rp = lift(vals[mid:] - vals[mid], sub_grid)
-    restart = solve(sub_rp, vf, z0=fs.Z[mid], eps=0.8)
+    restart = solve(vals[mid:] - vals[mid], sub_grid, vf, z0=fs.Z[mid],
+                    eps=0.8)
     np.testing.assert_allclose(restart.Z[-1], fs.Z[-1], rtol=1e-6)
     # J_{0,T} = J_{s,T} J_{0,s}
     comp = restart.J[-1] @ fs.J[mid]
@@ -164,11 +170,10 @@ def test_batch_solver_matches_single():
     k = FractionalBrownian(0.4)
     grid = TimeGrid.regular(32)
     ens = sample(k, grid, d=1, n_paths=4, seed=17)
-    l1, l2 = lift_ensemble(ens.data)
-    batch = solve_batch(l1, l2, grid, bounded_nonlinear_field(), z0=[0.1],
-                        eps=0.5)
+    batch = solve_batch(lift_ensemble(ens.data), grid,
+                        bounded_nonlinear_field(), z0=[0.1], eps=0.5)
     for p in range(4):
-        single = solve(lift(ens.path(p), grid), bounded_nonlinear_field(),
+        single = solve(ens.path(p), grid, bounded_nonlinear_field(),
                        z0=[0.1], eps=0.5)
         np.testing.assert_array_equal(batch.Z[p], single.Z)
         np.testing.assert_array_equal(batch.J[p], single.J)
@@ -180,12 +185,11 @@ def test_blow_up_guard():
     vals[1:, 0] = [0.95, 1.35, 1.45, 1.55]
     with pytest.raises(ValueError):
         # per-step increment norm >= 1 violates the contraction check
-        solve(lift(vals, grid), scalar_linear_field(1.0), z0=[1.0], eps=1.1)
+        solve(vals, grid, scalar_linear_field(1.0), z0=[1.0], eps=1.1)
     grid2 = TimeGrid.regular(64)
     ramp = (0.9 * np.arange(65, dtype=float))[:, None]
     try:
-        solve(lift(ramp, grid2), scalar_linear_field(1.0), z0=[1e7],
-              eps=0.9)
+        solve(ramp, grid2, scalar_linear_field(1.0), z0=[1e7], eps=0.9)
     except BlowUpError as err:
         assert err.last_valid_step >= 1
     else:
