@@ -1,16 +1,18 @@
 """Monte-Carlo density estimation, tail-form checks, and the small-noise
 program: rate-function minimization and the vanishing-noise sweep.
 
-All Monte Carlo flows through counter-based per-path streams, so results
+All Monte Carlo flows through counter-based per-path streams, so a chunk
+of paths draws the same numbers in whichever process runs it, and results
 are identical for any chunking/worker layout; reductions run in fixed
-chunk order.  A chunk enters the flow solver as its level-1 increments
-(`lift_ensemble`); the solver forms each step's level 2 itself.
+chunk order.  With more than one worker, the chunks of
+`monte_carlo_reduce` run in forked worker processes (serially where the
+platform cannot fork).  A chunk enters the flow solver as its level-1
+increments (`lift_ensemble`); the solver forms each step's level 2 itself.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,75 @@ def _chunk_ranges(n_paths: int):
             for off in range(0, n_paths, CHUNK_PATHS)]
 
 
+def _map_chunks(run_chunk, ranges, workers: int) -> list:
+    """``run_chunk`` over ``ranges``, results in chunk order.
+
+    With more than one worker and chunk, the chunks run in
+    ``min(workers, len(ranges))`` forked processes, which inherit
+    ``run_chunk`` rather than unpickle it (the fields' callables cannot be
+    pickled).  They run in this process instead where the platform cannot
+    fork, or where this process runs other threads, which makes a fork
+    unsafe.  Either way the first failing chunk in order raises its error,
+    and every worker is joined before this returns or raises.
+    """
+    workers = min(workers, len(ranges))
+    if workers > 1:
+        import multiprocessing
+        import threading
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            return _map_forked(multiprocessing.get_context("fork"),
+                               run_chunk, ranges, workers)
+    return [run_chunk(r) for r in ranges]
+
+
+def _map_forked(ctx, run_chunk, ranges, workers: int) -> list:
+    """Worker k runs chunks k, k + workers, ... in order, sends each result
+    (or the error that stops it) down its pipe, and exits."""
+    from multiprocessing.connection import wait
+
+    def serve(conn, first):
+        for i in range(first, len(ranges), workers):
+            try:
+                conn.send((i, run_chunk(ranges[i])))
+            except Exception as err:
+                conn.send((i, err))
+                return
+
+    done, procs, live = {}, [], []
+    try:
+        for k in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=serve, args=(send, k), daemon=True)
+            proc.start()
+            procs.append(proc)
+            send.close()
+            live.append(recv)
+        while live:
+            for conn in wait(live):
+                try:
+                    i, value = conn.recv()
+                except EOFError:
+                    conn.close()
+                    live.remove(conn)
+                else:
+                    done[i] = value
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+    for i in range(len(ranges)):
+        if i not in done:
+            raise RuntimeError(f"the worker of chunk {i} exited with code "
+                               f"{procs[i % workers].exitcode}, no result")
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return [done[i] for i in range(len(ranges))]
+
+
 def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                        vf: VectorFieldSystem, z0, eps_list, n_paths: int,
                        seed: int, collect: str = "terminal",
@@ -66,9 +137,10 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
 
     def run_chunk(off_size):
         off, size = off_size
-        ens = sample(kernel, grid, d=vf.d, n_paths=size, seed=seed,
-                     path_offset=off, chol=chol)
-        level1 = lift_ensemble(ens.data)
+        # the node values go once lifted: each solve makes its own copy
+        level1 = lift_ensemble(sample(kernel, grid, d=vf.d, n_paths=size,
+                                      seed=seed, path_offset=off,
+                                      chol=chol).data)
         outs = []
         for eps in eps_list:
             batch = solve_batch(level1, grid, vf, z0, eps=eps,
@@ -83,12 +155,7 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                 raise ValueError(f"unknown collector {collect!r}")
         return outs
 
-    ranges = _chunk_ranges(n_paths)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, ranges))
-    else:
-        results = [run_chunk(r) for r in ranges]
+    results = _map_chunks(run_chunk, _chunk_ranges(n_paths), workers)
     return [np.concatenate([r[i] for r in results], axis=0)
             for i in range(len(eps_list))]
 

@@ -69,7 +69,7 @@ def sample(kernel: CovKernel, grid: TimeGrid, d: int = 1, n_paths: int = 1,
     n = grid.n_steps
     z = np.empty((n_paths, d, n))
     # Stream (path, component) is Philox with key words [stream, seed] from
-    # counter zero; the generator is local because pool threads call this.
+    # counter zero; the generator is local, so concurrent calls share none.
     key = [0, int(seed) & _MASK64]
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": key},

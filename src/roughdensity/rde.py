@@ -36,6 +36,14 @@ class BlowUpError(RuntimeError):
         super().__init__(msg)
         self.last_valid_step = last_valid_step
 
+    def __reduce__(self):
+        # pickles with its step, so it crosses a process pool intact
+        return type(self), (str(self), self.last_valid_step)
+
+
+class CoarseGridError(ValueError):
+    """A driver increment too large for the step-map contraction."""
+
 
 @dataclass
 class FlowState:
@@ -68,6 +76,10 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
     the exact derivative of the discrete map; Jinv is np.linalg.inv(J)
     over all (P, N+1) nodes.  The flow has a leading path axis: Z is
     (P, N+1, n), J and Jinv (P, N+1, n, n).
+
+    The steps run time-major: over one contiguous (N, P, d) copy of the
+    increments, writing Z as (N+1, P, n), so each step reads and writes
+    contiguous rows; Z is returned as the (P, N+1, n) transposed view.
     """
     P, N, d = level1.shape
     if d != vf.d or N != grid.n_steps:
@@ -77,11 +89,12 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
     dts = grid.dts
 
     if eps * np.abs(level1).max(initial=0.0) >= 1.0:
-        raise ValueError("per-step increment norm >= 1: grid too coarse "
-                         "for the step-map contraction")
+        raise CoarseGridError("per-step increment norm >= 1: grid too "
+                              "coarse for the step-map contraction")
 
-    Z = np.empty((P, N + 1, n))
-    Z[:, 0, :] = z0
+    steps = np.ascontiguousarray(level1.transpose(1, 0, 2))     # (N, P, d)
+    Z = np.empty((N + 1, P, n))
+    Z[0] = z0
     z = np.broadcast_to(z0, (P, n)).copy()
     if with_jacobian:
         J = np.empty((P, N + 1, n, n))
@@ -91,7 +104,7 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
 
     for i in range(N):
         dt = dts[i]
-        dx = level1[:, i]                          # (P, d)
+        dx = steps[i]                              # (P, d)
         x1 = eps * dx
         x2 = (eps * eps) * (0.5 * (dx[:, :, None] * dx[:, None, :]))
         v0 = vf.v0(z)
@@ -130,10 +143,11 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
             raise BlowUpError(
                 f"state escaped |Z| <= {BLOW_UP_GUARD:g} at step {i + 1} "
                 "(step too coarse or field unbounded)", last_valid_step=i)
-        Z[:, i + 1] = z
+        Z[i + 1] = z
 
     Jinv = None if J is None else np.linalg.inv(J)
-    return FlowState(grid=grid, Z=Z, J=J, Jinv=Jinv, z0=z0, eps=eps)
+    return FlowState(grid=grid, Z=Z.transpose(1, 0, 2), J=J, Jinv=Jinv,
+                     z0=z0, eps=eps)
 
 
 def solve(values: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,

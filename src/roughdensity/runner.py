@@ -49,7 +49,7 @@ from .malliavin import (
 )
 from .paths import (RNG_SCHEME, CMElement, cm_eval, cm_norm_sq,
                     export_path_csv, sample, save_ensemble)
-from .rde import solve_batch
+from .rde import BlowUpError, CoarseGridError, solve_batch
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -361,7 +361,10 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
     experiment = config["experiment"]
 
     t = config.get("t")
-    if t is not None and experiment in ("density", "tails", "varadhan"):
+    if t is not None:
+        if experiment not in ("density", "tails", "varadhan"):
+            raise ConfigError(f"{experiment}: t = {t:g} is set, but this "
+                              "experiment does not use t")
         try:
             idx = grid.index_of(float(t))
         except ValueError:
@@ -383,7 +386,8 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
                 config, kernel, grid, out, workers, gate_report)
         except (NonEllipticError, HypothesisGateError) as err:
             code, error = EXIT_GATE, str(err)
-        except (NoiseFloorError, TargetUnreachableError) as err:
+        except (NoiseFloorError, TargetUnreachableError, BlowUpError,
+                CoarseGridError) as err:
             code, error = EXIT_FAIL, str(err)
 
     report = {"config": _jsonable(config), "experiment": experiment}

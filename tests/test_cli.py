@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -142,17 +143,44 @@ def test_gated_experiment_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("experiment, t", [
-    ("density", 0.3), ("tails", 0.3), ("varadhan", 0.5)])
+    ("density", 0.3), ("tails", 0.3), ("varadhan", 0.5),
+    ("audit-malliavin", 0.5), ("hypotheses", 0.5), ("sample", 0.5),
+    ("audit-interpolation", 0.5)])
 def test_t_off_the_grid_exits_2(tmp_path, capsys, experiment, t):
     """density and tails need t on the grid; the Varadhan sweep runs at the
-    horizon, so there t = 0.5 (a node of 16 steps) is refused too."""
+    horizon, so there t = 0.5 (a node of 16 steps) is refused too.  The
+    other experiments use no t, so any t is refused there."""
     config = {**DENSITY_SMALL, "grid": {"n_steps": 16},
               "experiment": experiment, "t": t, "y_targets": [0.5]}
     cfg = write_config(tmp_path, config)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"t = {t:g}" in err and "16 steps on [0, 1]" in err
+    why = ("16 steps on [0, 1]" if experiment in ("density", "tails",
+                                                   "varadhan")
+           else "does not use t")
+    assert f"{experiment}: t = {t:g}" in err and why in err
+
+
+@pytest.mark.parametrize("config", [
+    {"kernel": {"family": "fbm", "H": 0.4}, "grid": {"n_steps": 16},
+     "vf": {"name": "rotation_mix"}, "experiment": "audit-malliavin",
+     "n_pairs": 4, "seed": 1},
+    {"kernel": {"family": "fbm", "H": 0.4}, "grid": {"n_steps": 16},
+     "vf": {"name": "bounded_nonlinear"}, "experiment": "density",
+     "n_paths": 40_000, "seed": 1}], ids=["audit-malliavin", "density"])
+def test_too_coarse_grid_report_keeps_gate(tmp_path, config):
+    """A driver increment past the step-map contraction ends the run in a
+    FAIL report, also when it is found in a forked worker."""
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out),
+                 "--workers", "2"])
+    assert code == EXIT_FAIL
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False and "too coarse" in report["error"]
+    assert report["gate"]["pass"] is True
+    assert multiprocessing.active_children() == []
 
 
 def test_noise_floor_report_keeps_gate(tmp_path):
@@ -226,6 +254,8 @@ def test_manifest_records_versions_and_rng_scheme(tmp_path):
 NO_SCIPY_SCRIPT = """
 import json, sys
 import roughdensity.cli
+pools = sorted(m for m in sys.modules
+               if m.partition(".")[0] in ("concurrent", "multiprocessing"))
 from roughdensity.density import rate_function
 from roughdensity.fields import identity_field
 from roughdensity.kernels import FractionalBrownian, FractionalOU, TimeGrid
@@ -235,18 +265,20 @@ rate_function([0.5], FractionalBrownian(0.4), identity_field(1), [0.0],
               grid=TimeGrid.regular(32), m_nodes=4, n_starts=1)
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 FractionalOU(0.4, 1.0)
-print(json.dumps([loaded, "scipy.integrate" in sys.modules]))
+print(json.dumps([pools, loaded, "scipy.integrate" in sys.modules]))
 """
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
+    # importing the command line loads no process or thread pool module;
     # a hypotheses run and a rate-function solve (a SkeletonPropagator)
     # load no scipy module; the fOU kernel's quadrature does
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(HYP_OK),
          str(tmp_path / "out")], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded, fou_loads_quad = json.loads(proc.stdout)
+    pools, loaded, fou_loads_quad = json.loads(proc.stdout)
+    assert pools == []
     assert loaded == []
     assert fou_loads_quad
 

@@ -1,4 +1,8 @@
+import json
 import math
+import multiprocessing
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -364,16 +368,58 @@ def test_kde_empty_window_is_exact_zero():
     assert p[3] == 0.0 == p_all[3]
 
 
-def test_monte_carlo_reduce_chunking_invariant():
-    old = dens.CHUNK_PATHS
+def test_monte_carlo_reduce_chunking_invariant(monkeypatch):
+    """One 7,777-path chunk in this process, or five 1,000-path chunks on
+    1, 2 or 3 workers: the same numbers for either collector, and no
+    worker left behind."""
+    forked, map_forked = [], dens._map_forked
+
+    def counted(ctx, run_chunk, ranges, workers):
+        forked.append(workers)
+        return map_forked(ctx, run_chunk, ranges, workers)
+
+    monkeypatch.setattr(dens, "_map_forked", counted)
+
+    def reduce(chunk, workers, collect):
+        monkeypatch.setattr(dens, "CHUNK_PATHS", chunk)
+        (out,) = monte_carlo_reduce(
+            brownian(), TimeGrid.regular(32), identity_field(1), [0.0],
+            [1.0], 5000, seed=37, collect=collect, workers=workers)
+        return out
+
+    for collect in ("terminal", "running_sup"):
+        want = reduce(7777, 1, collect)
+        for workers in (1, 2, 3):
+            assert np.array_equal(reduce(1000, workers, collect), want)
+            assert multiprocessing.active_children() == []
+    assert forked == [2, 3, 2, 3]
+
+
+WORKER_BLOW_UP_SCRIPT = """
+import json, multiprocessing
+from roughdensity.density import monte_carlo_reduce
+from roughdensity.fields import linear_drift_field
+from roughdensity.kernels import FractionalBrownian, TimeGrid
+from roughdensity.rde import BlowUpError
+out = []
+for workers in (1, 2):
     try:
-        outs = []
-        for chunk in (1000, 7777):
-            dens.CHUNK_PATHS = chunk
-            (term,) = monte_carlo_reduce(
-                brownian(), TimeGrid.regular(32), identity_field(1), [0.0],
-                [1.0], 5000, seed=37, collect="terminal")
-            outs.append(term.copy())
-        assert np.array_equal(outs[0], outs[1])
-    finally:
-        dens.CHUNK_PATHS = old
+        monte_carlo_reduce(FractionalBrownian(0.4), TimeGrid.regular(64),
+                           linear_drift_field(rate=1e4), [1.0], [0.5],
+                           40_000, seed=1, workers=workers)
+    except BlowUpError as err:
+        out.append([type(err).__name__, err.last_valid_step,
+                    len(multiprocessing.active_children())])
+print(json.dumps(out))
+"""
+
+
+def test_worker_blow_up_reaches_the_caller():
+    """A BlowUpError raised in a forked worker arrives whole (type and last
+    valid step, as in one process) and ends the pool; run in a subprocess
+    with a timeout, so a pool that hangs on it fails here."""
+    proc = subprocess.run([sys.executable, "-c", WORKER_BLOW_UP_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    serial, forked = json.loads(proc.stdout)
+    assert serial == forked == ["BlowUpError", 1, 0]

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -14,6 +16,7 @@ from roughdensity.lift import lift, lift_ensemble, refine_linear
 from roughdensity.paths import CMElement, cm_eval, sample
 from roughdensity.rde import (
     BlowUpError,
+    CoarseGridError,
     SkeletonPropagator,
     solve,
     solve_batch,
@@ -194,6 +197,15 @@ def test_blow_up_guard():
         assert err.last_valid_step >= 1
     else:
         raise AssertionError("expected BlowUpError")
+
+
+def test_solver_errors_survive_pickling():
+    # the errors of a chunk solved in a worker process reach the caller
+    err = pickle.loads(pickle.dumps(BlowUpError("escaped", last_valid_step=7)))
+    assert type(err) is BlowUpError
+    assert str(err) == "escaped" and err.last_valid_step == 7
+    coarse = pickle.loads(pickle.dumps(CoarseGridError("too coarse")))
+    assert isinstance(coarse, ValueError) and str(coarse) == "too coarse"
 
 
 # ---------------------------------------------------------------------------
