@@ -261,7 +261,7 @@ def _window_fits(cells: np.ndarray, starts: np.ndarray, widths: np.ndarray,
     sheared = (s.strides[0] + s.strides[1], s.strides[1] - s.strides[2],
                s.strides[2])
     v_vals = np.empty(starts.size)
-    for w in np.unique(widths):
+    for w in np.flatnonzero(np.bincount(widths)):   # ascending widths
         sel = widths == w
         ia = starts[sel]
         shape = (n - w + 1, w, w + 1)
@@ -332,7 +332,7 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
     widths, lengths = ends - starts, nodes[ends] - nodes[starts]
     lo, hi, fallback = 4 * grid.mesh, grid.horizon / 4, False
     keep = (lo <= lengths) & (lengths <= hi)
-    if np.unique(widths[keep]).size < 2:
+    if np.count_nonzero(np.bincount(widths[keep])) < 2:
         lo, hi, fallback = grid.mesh, grid.horizon / 2, True
         keep = (lo <= lengths) & (lengths <= hi)
     starts, widths, lengths = starts[keep], widths[keep], lengths[keep]

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import importlib.metadata
 import importlib.resources
+import importlib.util
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .diagnostics import (
@@ -47,8 +47,8 @@ from .malliavin import (
     interpolation_audit,
     malliavin_matrix,
 )
-from .paths import (RNG_SCHEME, CMElement, cm_eval, cm_norm_sq,
-                    export_path_csv, sample, save_ensemble)
+from .paths import (RNG_SCHEME, cm_eval, export_path_csv,
+                    random_unit_element, sample, save_ensemble)
 from .rde import BlowUpError, CoarseGridError, solve_batch
 
 EXIT_PASS = 0
@@ -64,21 +64,102 @@ class ConfigError(ValueError):
     """Config does not validate against the schema."""
 
 
-class GateFailure(RuntimeError):
-    """Kernel hypothesis (or ellipticity) gate failed for a gated run."""
-
-
 def load_schema() -> dict:
     """The config schema, shipped as package data."""
     return json.loads(importlib.resources.files("roughdensity").joinpath(
         "schema.json").read_text())
 
 
+# The JSON Schema (draft 2020-12) keywords and types that schema.json uses,
+# with jsonschema's semantics: a float with an integral value is an integer,
+# a bool is never a number, and the bounds apply to numbers only.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": lambda v: (isinstance(v, numbers.Number)
+                         and not isinstance(v, bool)),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+_KEYWORDS = {"$schema", "title", "type", "enum", "required", "properties",
+             "additionalProperties", "minimum", "maximum", "exclusiveMinimum",
+             "items", "minItems", "oneOf"}
+
+
+def _check_schema(schema, where: str = "schema") -> None:
+    """Raise NotImplementedError on any keyword or type `_schema_errors`
+    does not implement, so a schema edit cannot be ignored silently."""
+    if not isinstance(schema, dict):
+        raise NotImplementedError(f"{where}: non-object schemas unsupported")
+    unknown = sorted(set(schema) - _KEYWORDS)
+    kind = schema.get("type", [])
+    unknown += [f"type {k!r}" for k in (kind if isinstance(kind, list)
+                                        else [kind]) if k not in _TYPES]
+    if schema.get("additionalProperties", False) is not False:
+        unknown.append("additionalProperties other than false")
+    if unknown:
+        raise NotImplementedError(f"{where}: unsupported schema keyword(s) "
+                                  f"{', '.join(unknown)}")
+    subs = [(f"{where}.{key}", sub)
+            for key, sub in schema.get("properties", {}).items()]
+    subs += [(f"{where}.items", schema["items"])] if "items" in schema else []
+    subs += [(f"{where}.oneOf[{i}]", sub)
+             for i, sub in enumerate(schema.get("oneOf", []))]
+    for path, sub in subs:
+        _check_schema(sub, path)
+
+
+def _schema_errors(schema: dict, value, where: str) -> list[str]:
+    """Every rule of ``schema`` that ``value`` (found at ``where``) breaks."""
+    errors = []
+    kind = schema.get("type")
+    kinds = kind if isinstance(kind, list) else [kind]
+    if kind is not None and not any(_TYPES[k](value) for k in kinds):
+        errors.append(f"{where}: {value!r} is not of type "
+                      f"{' or '.join(kinds)}")
+    if "enum" in schema and not any(
+            v == value and isinstance(v, bool) == isinstance(value, bool)
+            for v in schema["enum"]):
+        errors.append(f"{where}: {value!r} is not one of {schema['enum']}")
+    if _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            errors.append(f"{where}: {value!r} < {schema['minimum']}")
+        if "maximum" in schema and value > schema["maximum"]:
+            errors.append(f"{where}: {value!r} > {schema['maximum']}")
+        low = schema.get("exclusiveMinimum")
+        if low is not None and value <= low:
+            errors.append(f"{where}: {value!r} <= {low}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        errors += [f"{where}: {key!r} is required"
+                   for key in schema.get("required", []) if key not in value]
+        for key, item in value.items():
+            if key in props:
+                errors += _schema_errors(props[key], item, f"{where}.{key}")
+            elif schema.get("additionalProperties", True) is False:
+                errors.append(f"{where}: unknown key {key!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append(f"{where}: fewer than {schema['minItems']} items")
+        for i, item in enumerate(value if "items" in schema else []):
+            errors += _schema_errors(schema["items"], item, f"{where}[{i}]")
+    if "oneOf" in schema:
+        hits = sum(not _schema_errors(sub, value, where)
+                   for sub in schema["oneOf"])
+        if hits != 1:
+            errors.append(f"{where}: {value!r} matches {hits} of the "
+                          "oneOf schemas, not exactly one")
+    return errors
+
+
 def validate_config(config: dict) -> None:
-    validator = Draft202012Validator(load_schema())
-    errors = sorted(validator.iter_errors(config), key=str)
+    schema = load_schema()
+    _check_schema(schema)
+    errors = _schema_errors(schema, config, "config")
     if errors:
-        raise ConfigError("; ".join(e.message for e in errors))
+        raise ConfigError("; ".join(sorted(errors)))
 
 
 def _jsonable(obj):
@@ -303,12 +384,7 @@ def _exp_audit_malliavin(config, kernel, grid, out_dir, workers, gate):
                                            max(1e-4, 3 * tau))
     ens = sample(kernel, grid, d=vf.d, n_paths=n_pairs, seed=seed)
     rng = np.random.Generator(np.random.Philox(key=seed + 1))
-    hs = []
-    for _ in range(n_pairs):
-        nodes = np.sort(rng.uniform(0.1 * kernel.horizon, kernel.horizon, 3))
-        coeffs = rng.standard_normal((3, vf.d))
-        h = CMElement(kernel, nodes, coeffs)
-        hs.append(CMElement(kernel, nodes, coeffs / np.sqrt(cm_norm_sq(h))))
+    hs = [random_unit_element(kernel, rng, vf.d) for _ in range(n_pairs)]
     shifts = np.stack([cm_eval(h, grid.nodes) for h in hs])  # (P, N+1, d)
     level1 = lift_ensemble(ens.data)
     base = solve_batch(level1, grid, vf, z0, eps=eps)
@@ -404,12 +480,29 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
     return code
 
 
+def _scipy_version() -> str:
+    """The ``Version:`` header of the one scipy dist-info beside the scipy
+    package, read without importing scipy or importlib.metadata (each
+    costs more than a short run computes); importlib.metadata otherwise."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        site = Path(spec.submodule_search_locations[0]).parent
+        metas = list(site.glob("scipy-*.dist-info/METADATA"))
+        if len(metas) == 1:
+            with open(metas[0], encoding="utf-8") as fh:
+                for line in fh:
+                    if line.startswith("Version:"):
+                        return line.partition(":")[2].strip()
+    from importlib.metadata import version
+    return version("scipy")
+
+
 def _emit(out: Path, config: dict, report: dict) -> None:
     manifest = {"config_hash": config_hash(config),
                 "seed": config.get("seed", 0),
                 "version": __version__,
                 "numpy": np.__version__,
-                "scipy": importlib.metadata.version("scipy"),
+                "scipy": _scipy_version(),
                 "rng_scheme": RNG_SCHEME}
     report = dict(report)
     report["manifest"] = manifest

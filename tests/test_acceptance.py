@@ -39,7 +39,8 @@ from roughdensity.malliavin import (
     interpolation_audit,
     malliavin_matrix,
 )
-from roughdensity.paths import CMElement, cm_eval, cm_norm_sq, sample
+from roughdensity.paths import (CMElement, cm_eval, random_unit_element,
+                               sample)
 from roughdensity.rde import solve, solve_batch
 from roughdensity.runner import run as run_experiment
 
@@ -154,10 +155,7 @@ def test_criterion_04_malliavin_oracle_equivalence():
         shifts = np.empty((50, grid.n_steps + 1, vf.d))
         perturbed = np.empty_like(ens.data)
         for p in range(50):
-            nodes = np.sort(rng.uniform(0.1, 1.0, 3))
-            coeffs = rng.standard_normal((3, vf.d))
-            h = CMElement(k, nodes, coeffs)
-            h = CMElement(k, nodes, coeffs / np.sqrt(cm_norm_sq(h)))
+            h = random_unit_element(k, rng, vf.d)
             shifts[p] = cm_eval(h, grid.nodes)
             perturbed[p] = (ens.path(p) + tau * shifts[p]).T
         pert = solve_batch(lift_ensemble(perturbed), grid, vf, z0, eps=eps,

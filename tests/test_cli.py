@@ -1,4 +1,7 @@
+import ast
+import copy
 import importlib.metadata
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -29,7 +32,9 @@ from roughdensity.runner import (
     EXIT_FAIL,
     EXIT_GATE,
     EXIT_PASS,
+    ConfigError,
     config_hash,
+    load_schema,
     run,
     summarize,
     validate_config,
@@ -129,6 +134,147 @@ def test_schema_ships_with_package(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(str(tmp_path))
+
+
+def suite_configs() -> list[dict]:
+    """Every run config written out as a literal in the test suite (a dict
+    literal with an "experiment" key and literal values), plus the configs
+    of the benchmark's workloads."""
+    configs = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict) and any(
+                    isinstance(k, ast.Constant) and k.value == "experiment"
+                    for k in node.keys):
+                try:
+                    configs.append(ast.literal_eval(node))
+                except ValueError:
+                    pass
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return configs + [workloads.config(name, 1) for name in workloads.NAMES]
+
+
+def bounded_keys(schema: dict, prefix=()):
+    """(key path, bounds, item) for every schema node with a minimum,
+    maximum or exclusiveMinimum; item marks bounds on array items."""
+    for key, sub in schema.get("properties", {}).items():
+        yield from bounded_keys(sub, prefix + (key,))
+        if "items" in sub:
+            for path, bounds, _ in bounded_keys(sub["items"], prefix + (key,)):
+                yield path, bounds, True
+    bounds = [schema[k] for k in ("minimum", "maximum", "exclusiveMinimum")
+              if k in schema]
+    if bounds and prefix:
+        yield prefix, bounds, False
+
+
+def config_mutations(config: dict, schema: dict):
+    """Each key removed, an unknown key at every level, wrong types, values
+    at and just beyond every bound, and the edge cases of the optional
+    arrays."""
+    def key_paths(node, prefix=()):
+        for key, value in node.items():
+            yield prefix + (key,)
+            if isinstance(value, dict):
+                yield from key_paths(value, prefix + (key,))
+
+    def edit(path, value=None, drop=False):
+        out = copy.deepcopy(config)
+        parent = out
+        for key in path[:-1]:
+            if not isinstance(parent.get(key), dict):
+                parent[key] = {}
+            parent = parent[key]
+        if drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return out
+
+    paths = list(key_paths(config))
+    yield {**config, "zz_unknown": 1}
+    for path in paths:
+        yield edit(path, drop=True)
+        for wrong in ("x", True, False, None, 4, 4.0, 4.5, -2.5, [], [1.5],
+                      {}, {"zz": 1}):
+            yield edit(path, wrong)
+        yield edit(path + ("zz_unknown",), 1)
+    for path, bounds, item in bounded_keys(schema):
+        for b in bounds:
+            for v in (b, float(b), b - 1, b + 1, b - 1e-9, b + 1e-9):
+                yield edit(path, [v] if item else v)
+    for key, value in [("bandwidth", None), ("bandwidth", 0.2),
+                       ("eps_list", []), ("y_targets", [[0.5, 0.2]]),
+                       ("y_targets", [0.5, [0.1, 0.3]]),
+                       ("y_targets", [[[0.5]]]), ("y_targets", [True]),
+                       ("y_targets", ["0.5"]), ("y_targets", [])]:
+        yield edit((key,), value)
+
+
+def accepts(config: dict) -> bool:
+    try:
+        validate_config(config)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_validator_agrees_with_jsonschema():
+    from jsonschema import Draft202012Validator
+
+    schema = load_schema()
+    oracle = Draft202012Validator(schema)
+    bases = suite_configs()
+    assert len(bases) >= 10
+    seen, verdicts = set(), {True: 0, False: 0}
+    for base in bases:
+        for config in [base, *config_mutations(base, schema)]:
+            blob = json.dumps(config, sort_keys=True)
+            if blob in seen:
+                continue
+            seen.add(blob)
+            ours = accepts(config)
+            assert ours == oracle.is_valid(config), blob
+            verdicts[ours] += 1
+    assert min(verdicts.values()) >= 500, verdicts
+
+
+def test_one_of_means_exactly_one(monkeypatch):
+    # the shipped schema's oneOf branches are disjoint; overlapping ones
+    # show that a value matching both is rejected, as jsonschema does
+    from jsonschema import Draft202012Validator
+
+    schema = load_schema()
+    schema["properties"]["levels"]["items"] = {
+        "oneOf": [{"type": "number"}, {"type": "integer"}]}
+    monkeypatch.setattr(roughdensity.runner, "load_schema", lambda: schema)
+    verdicts = [accepts({**HYP_OK, "levels": [v]}) for v in (1.5, 1, 2.0)]
+    assert verdicts == [True, False, False]
+    assert verdicts == [Draft202012Validator(schema).is_valid(
+        {**HYP_OK, "levels": [v]}) for v in (1.5, 1, 2.0)]
+
+
+@pytest.mark.parametrize("path, keyword, value", [
+    (("grid", "n_steps"), "multipleOf", 2),
+    (("levels", "items"), "uniqueItems", True),
+    ((), "additionalProperties", {"type": "number"}),
+], ids=["multipleOf", "unreached-uniqueItems", "additionalProperties-schema"])
+def test_unsupported_schema_keyword_raises(monkeypatch, path, keyword,
+                                          value):
+    """A keyword the validator does not implement raises, also where the
+    config does not reach it, instead of being ignored."""
+    schema = load_schema()
+    node = schema
+    for key in path:
+        node = node["properties"][key] if key != "items" else node[key]
+    node[keyword] = value
+    monkeypatch.setattr(roughdensity.runner, "load_schema", lambda: schema)
+    with pytest.raises(NotImplementedError, match=keyword):
+        validate_config(HYP_OK)
 
 
 def test_gated_experiment_exits_3(tmp_path):
@@ -251,6 +397,14 @@ def test_manifest_records_versions_and_rng_scheme(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_scipy_version_falls_back_to_importlib_metadata(monkeypatch):
+    # with no scipy dist-info found beside a scipy package, the manifest's
+    # version comes from importlib.metadata instead of a crash
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    assert roughdensity.runner._scipy_version() == importlib.metadata.version(
+        "scipy")
+
+
 NO_SCIPY_SCRIPT = """
 import json, sys
 import roughdensity.cli
@@ -260,26 +414,38 @@ from roughdensity.density import rate_function
 from roughdensity.fields import identity_field
 from roughdensity.kernels import FractionalBrownian, FractionalOU, TimeGrid
 from roughdensity.runner import run
+assert run(json.loads(sys.argv[3]), sys.argv[2] + "-gated") == 0
+unused = sorted(m for m in sys.modules
+                for top in ("jsonschema", "referencing", "importlib.metadata",
+                            "numpy.ma") if m == top or m.startswith(top + "."))
 assert run(json.loads(sys.argv[1]), sys.argv[2]) == 0
 rate_function([0.5], FractionalBrownian(0.4), identity_field(1), [0.0],
               grid=TimeGrid.regular(32), m_nodes=4, n_starts=1)
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 FractionalOU(0.4, 1.0)
-print(json.dumps([pools, loaded, "scipy.integrate" in sys.modules]))
+print(json.dumps([pools, loaded, unused, "scipy.integrate" in sys.modules]))
 """
+
+AUDIT_SMALL = {"kernel": {"family": "fbm", "H": 0.4}, "grid": {"n_steps": 32},
+               "vf": {"name": "bounded_nonlinear"},
+               "experiment": "audit-malliavin", "n_pairs": 4, "seed": 1}
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
     # importing the command line loads no process or thread pool module;
-    # a hypotheses run and a rate-function solve (a SkeletonPropagator)
-    # load no scipy module; the fOU kernel's quadrature does
+    # the import and a gated audit run load no jsonschema,
+    # importlib.metadata or numpy.ma; with a hypotheses run and a
+    # rate-function solve (a SkeletonPropagator) added, still no scipy
+    # module is loaded; the fOU kernel's quadrature loads scipy
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(HYP_OK),
-         str(tmp_path / "out")], capture_output=True, text=True)
+         str(tmp_path / "out"), json.dumps(AUDIT_SMALL)],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    pools, loaded, fou_loads_quad = json.loads(proc.stdout)
+    pools, loaded, unused, fou_loads_quad = json.loads(proc.stdout)
     assert pools == []
     assert loaded == []
+    assert unused == []
     assert fou_loads_quad
 
 

@@ -27,7 +27,8 @@ from roughdensity.malliavin import (
     malliavin_matrix,
     trig_corpus,
 )
-from roughdensity.paths import CMElement, cm_eval, cm_norm_sq, sample
+from roughdensity.paths import (CMElement, cm_eval, random_unit_element,
+                               sample)
 from roughdensity.rde import solve, solve_batch
 
 
@@ -171,10 +172,7 @@ def test_pathwise_directional_derivative_oracle():
         ens = sample(k, grid, d=vf.d, n_paths=10, seed=17)
         for p in range(10):
             vals = ens.path(p)
-            nodes = np.sort(rng.uniform(0.1, 1.0, 3))
-            coeffs = rng.standard_normal((3, vf.d))
-            h = CMElement(k, nodes, coeffs)
-            h = CMElement(k, nodes, coeffs / np.sqrt(cm_norm_sq(h)))
+            h = random_unit_element(k, rng, vf.d)
             base = solve(vals, grid, vf, z0=z0, eps=eps)
             pert_vals = vals + tau * cm_eval(h, grid.nodes)
             pert = solve(pert_vals, grid, vf, z0=z0, with_jacobian=False,
