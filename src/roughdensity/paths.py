@@ -143,14 +143,13 @@ def cm_eval(h: CMElement, t) -> np.ndarray:
     return out[0] if t.ndim == 0 else out.reshape(*t.shape, h.d)
 
 
-def random_unit_element(kernel: CovKernel, rng: np.random.Generator, d: int,
-                        n_nodes: int = 3) -> CMElement:
-    """A random direction of unit Cameron-Martin norm: ``n_nodes`` sorted
-    uniform nodes on [T/10, T], then standard normal coefficients of shape
-    (n_nodes, d), scaled by 1 / |h|_H."""
-    nodes = np.sort(rng.uniform(0.1 * kernel.horizon, kernel.horizon,
-                                n_nodes))
-    coeffs = rng.standard_normal((n_nodes, d))
+def random_unit_element(kernel: CovKernel, rng: np.random.Generator,
+                        d: int) -> CMElement:
+    """A random direction of unit Cameron-Martin norm: three sorted uniform
+    nodes on [T/10, T], then standard normal coefficients of shape (3, d),
+    scaled by 1 / |h|_H."""
+    nodes = np.sort(rng.uniform(0.1 * kernel.horizon, kernel.horizon, 3))
+    coeffs = rng.standard_normal((3, d))
     h = CMElement(kernel, nodes, coeffs)
     return CMElement(kernel, nodes, coeffs / np.sqrt(cm_norm_sq(h)))
 

@@ -258,20 +258,57 @@ def test_one_of_means_exactly_one(monkeypatch):
         {**HYP_OK, "levels": [v]}) for v in (1.5, 1, 2.0)]
 
 
-@pytest.mark.parametrize("path, keyword, value", [
-    (("grid", "n_steps"), "multipleOf", 2),
-    (("levels", "items"), "uniqueItems", True),
-    ((), "additionalProperties", {"type": "number"}),
-], ids=["multipleOf", "unreached-uniqueItems", "additionalProperties-schema"])
-def test_unsupported_schema_keyword_raises(monkeypatch, path, keyword,
-                                          value):
-    """A keyword the validator does not implement raises, also where the
-    config does not reach it, instead of being ignored."""
+def schema_nodes(schema: dict):
+    """The schema and every subschema below it, reached by a config or
+    not."""
+    yield schema
+    subs = list(schema.get("properties", {}).values())
+    subs += [schema["items"]] if "items" in schema else []
+    for sub in subs + schema.get("oneOf", []):
+        yield from schema_nodes(sub)
+
+
+def unsupported_keywords(schema: dict) -> list[str]:
+    """The keywords and types anywhere in ``schema`` that the validator
+    does not implement."""
+    found = []
+    for node in schema_nodes(schema):
+        kind = node.get("type", [])
+        found += sorted(node.keys() - roughdensity.runner._KEYWORDS)
+        found += [k for k in (kind if isinstance(kind, list) else [kind])
+                  if k not in roughdensity.runner._TYPES]
+        if node.get("additionalProperties", False) is not False:
+            found.append("additionalProperties")
+    return found
+
+
+def edited_schema(path, keyword, value) -> dict:
     schema = load_schema()
     node = schema
     for key in path:
         node = node["properties"][key] if key != "items" else node[key]
     node[keyword] = value
+    return schema
+
+
+def test_shipped_schema_uses_only_supported_keywords():
+    """Every branch of schema.json, also those no config reaches, uses only
+    what the validator implements; an edit that adds more fails here."""
+    assert unsupported_keywords(load_schema()) == []
+    schema = edited_schema(("levels", "items"), "uniqueItems", True)
+    assert unsupported_keywords(schema) == ["uniqueItems"]
+
+
+@pytest.mark.parametrize("path, keyword, value", [
+    (("grid", "n_steps"), "multipleOf", 2),
+    ((), "additionalProperties", {"type": "number"}),
+], ids=["multipleOf", "additionalProperties-schema"])
+def test_unsupported_schema_keyword_raises(monkeypatch, path, keyword,
+                                          value):
+    """A keyword the validator does not implement raises where the config
+    reaches it, instead of being ignored."""
+    schema = edited_schema(path, keyword, value)
+    assert unsupported_keywords(schema) == [keyword]
     monkeypatch.setattr(roughdensity.runner, "load_schema", lambda: schema)
     with pytest.raises(NotImplementedError, match=keyword):
         validate_config(HYP_OK)
