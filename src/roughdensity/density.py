@@ -164,12 +164,34 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
 # Kernel density estimation
 # ---------------------------------------------------------------------------
 
+# np.percentile and np.median import numpy.ma; these two partition instead
+# and give their numbers bit for bit.
+
+def _quantiles(samples: np.ndarray, qs) -> np.ndarray:
+    """``np.quantile(samples, qs, axis=0)`` (the ``linear`` method)."""
+    pos = (samples.shape[0] - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(pos).astype(np.intp)
+    hi = np.minimum(lo + 1, samples.shape[0] - 1)
+    part = np.partition(samples, np.concatenate([lo, hi]), axis=0)
+    a, b = part[lo], part[hi]
+    t = (pos - lo).reshape((-1,) + (1,) * (samples.ndim - 1))
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
+def _median(samples: np.ndarray) -> np.ndarray:
+    """``np.median(samples, axis=0)``: (a + b) / 2 of the middle pair, which
+    is not always the linear method's b - (b - a) / 2."""
+    k = [(samples.shape[0] - 1) // 2, samples.shape[0] // 2]
+    part = np.partition(samples, k, axis=0)
+    return 0.5 * (part[k[0]] + part[k[1]])
+
+
 def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
     """Per-dimension Silverman rule 0.9 min(std, iqr/1.34) n^(-1/(dim+4))."""
     samples = np.atleast_2d(samples.T).T
     n, dim = samples.shape
     sd = samples.std(axis=0, ddof=1)
-    q75, q25 = np.percentile(samples, [75, 25], axis=0)
+    q75, q25 = _quantiles(samples, [0.75, 0.25])
     a = np.minimum(sd, (q75 - q25) / 1.34)
     a = np.where(a > 0, a, np.maximum(sd, 1e-12))
     return 0.9 * a * n ** (-1.0 / (dim + 4))
@@ -334,7 +356,7 @@ def tail_probability_check(kernel: CovKernel, vf: VectorFieldSystem, z0,
     levels = np.asarray(levels, dtype=float)
     p_hat = np.array([(sups >= lv).mean() for lv in levels])
     se = np.sqrt(np.maximum(p_hat * (1 - p_hat), 0.0) / n_paths)
-    med = np.median(sups)
+    med = _median(sups)
     ok = (levels > med) & (p_hat > 10 * se) & (p_hat > 0)
     kap = kappa(kernel, 0.0, float(tau), grid)
     fit = None

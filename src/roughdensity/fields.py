@@ -46,8 +46,8 @@ def identity_field(n: int = 1) -> VectorFieldSystem:
 
     return VectorFieldSystem(
         name="identity", n=n, d=n,
-        v0=lambda x: np.zeros_like(x),
-        v=lambda x: np.broadcast_to(eye, x.shape[:-1] + (n, n)).copy(),
+        v0=lambda x: np.zeros(x.shape),
+        v=lambda x: np.zeros(x.shape[:-1] + (n, n)) + eye,
         dv0=lambda x: _zeros_like_shape(x, n, n),
         dv=lambda x: _zeros_like_shape(x, n, n, n),
         d2v0=lambda x: _zeros_like_shape(x, n, n, n),
@@ -60,10 +60,10 @@ def scalar_linear_field(sigma: float = 1.0) -> VectorFieldSystem:
     """Geometric 1D fixture V(z) = sigma z (test oracle only: unbounded)."""
     return VectorFieldSystem(
         name="scalar_linear", n=1, d=1,
-        v0=lambda x: np.zeros_like(x),
+        v0=lambda x: np.zeros(x.shape),
         v=lambda x: sigma * x[..., None],
         dv0=lambda x: _zeros_like_shape(x, 1, 1),
-        dv=lambda x: np.broadcast_to(sigma, x.shape[:-1] + (1, 1, 1)).copy(),
+        dv=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)) + sigma,
         d2v0=lambda x: _zeros_like_shape(x, 1, 1, 1),
         d2v=lambda x: _zeros_like_shape(x, 1, 1, 1, 1),
         elliptic_lambda=None,
@@ -76,7 +76,7 @@ def linear_drift_field(rate: float = -1.0) -> VectorFieldSystem:
         name="linear_drift", n=1, d=1,
         v0=lambda x: rate * x,
         v=lambda x: _zeros_like_shape(x, 1, 1),
-        dv0=lambda x: np.broadcast_to(rate, x.shape[:-1] + (1, 1)).copy(),
+        dv0=lambda x: np.zeros(x.shape[:-1] + (1, 1)) + rate,
         dv=lambda x: _zeros_like_shape(x, 1, 1, 1),
         d2v0=lambda x: _zeros_like_shape(x, 1, 1, 1),
         d2v=lambda x: _zeros_like_shape(x, 1, 1, 1, 1),
@@ -134,7 +134,7 @@ def rotation_mix_field(amp: float = 0.1) -> VectorFieldSystem:
         return x1, x2
 
     def v0(x):
-        return np.zeros_like(x)
+        return np.zeros(x.shape)
 
     def v(x):
         x1, x2 = parts(x)
@@ -194,8 +194,8 @@ def degenerate_diag_field() -> VectorFieldSystem:
     mat = np.diag([1.0, 0.0])
     return VectorFieldSystem(
         name="degenerate_diag", n=2, d=2,
-        v0=lambda x: np.zeros_like(x),
-        v=lambda x: np.broadcast_to(mat, x.shape[:-1] + (2, 2)).copy(),
+        v0=lambda x: np.zeros(x.shape),
+        v=lambda x: np.zeros(x.shape[:-1] + (2, 2)) + mat,
         dv0=lambda x: _zeros_like_shape(x, 2, 2),
         dv=lambda x: _zeros_like_shape(x, 2, 2, 2),
         d2v0=lambda x: _zeros_like_shape(x, 2, 2, 2),

@@ -59,14 +59,14 @@ def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
 
     ``level1`` holds the driver's level-1 increments (..., N, d) and
     ``shift`` the trace of h at the grid nodes (..., N+1, d), so each flow
-    of a batch can have its own h.  Contracts the derivative kernel with dh
-    through the same one-step quadrature as the flow solver; its mixed
-    level-2 channel (1/2)(dh (x) dx + dx (x) dh) is the derivative along h
-    of the solver's in-step (1/2) x^1 (x) x^1.  The flow's J is the exact
-    derivative of the discrete step map and Jinv is J^-1, so
-    J_t J_{s+1}^-1 is the exact derivative of Z_t in Z_{s+1} and the
-    result is the exact adjoint of the discrete flow map, up to round-off;
-    it matches the continuous pairing to scheme order.
+    of a batch can have its own h.  Step s of the flow solver adds
+    W + (1/2) DW W with W = V0 dt + V x^1; its derivative along the driver
+    increment h^1 = eps dh is b_s = dW + (1/2)(dDW W + DW dW), with
+    dW = V h^1 and dDW = DV h^1.  The flow's J is the exact derivative of the
+    discrete step map and Jinv is J^-1, so J_t J_{s+1}^-1 is the exact
+    derivative of Z_t in Z_{s+1} and sum_s J_t J_{s+1}^-1 b_s is the exact
+    adjoint of the discrete flow map, up to round-off; it matches the
+    continuous pairing to scheme order.
     """
     if flow.J is None or flow.Jinv is None:
         raise ValueError("flow was solved without the Jacobian pair")
@@ -74,21 +74,22 @@ def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
     if idx == 0:
         return np.zeros(flow.Z.shape[:-2] + (vf.n,))
     eps = flow.eps
-    dts = flow.grid.dts[:idx]
-    dh = np.diff(shift[..., : idx + 1, :], axis=-2)
-    dx = level1[..., :idx, :]
+    dt = flow.grid.dts[:idx, None]
+    x1 = eps * level1[..., :idx, :]
+    h1 = eps * np.diff(shift[..., : idx + 1, :], axis=-2)
     z = flow.Z[..., :idx, :]
-    v0, v = vf.v0(z), vf.v(z)
-    dv0, dv = vf.dv0(z), vf.dv(z)
-    x2ch = 0.5 * (np.einsum("...sj,...sk->...sjk", dh, dx)
-                  + np.einsum("...sj,...sk->...sjk", dx, dh))
-    b = eps * np.einsum("...sad,...sd->...sa", v, dh)
-    b += (eps * eps) * np.einsum("...sabk,...sbj,...sjk->...sa", dv, v, x2ch)
-    b += 0.5 * eps * dts[:, None] * (
-        np.einsum("...sabj,...sb,...sj->...sa", dv, v0, dh)
-        + np.einsum("...sab,...sbj,...sj->...sa", dv0, v, dh))
-    return np.einsum("...ab,...sbc,...sc->...a", flow.J[..., idx, :, :],
-                     flow.Jinv[..., 1: idx + 1, :, :], b)
+    v, dv = vf.v(z), vf.dv(z)
+    w = vf.v0(z) * dt
+    w += np.einsum("...sad,...sd->...sa", v, x1)
+    dw = vf.dv0(z) * dt[..., None]
+    dw += np.einsum("...sabj,...sj->...sab", dv, x1)
+    dw_h = np.einsum("...sad,...sd->...sa", v, h1)
+    ddw_h = np.einsum("...sabj,...sj->...sab", dv, h1)
+    b = dw_h + 0.5 * (np.einsum("...sab,...sb->...sa", ddw_h, w)
+                      + np.einsum("...sab,...sb->...sa", dw, dw_h))
+    pulled = np.einsum("...sbc,...sc->...sb",
+                       flow.Jinv[..., 1: idx + 1, :, :], b).sum(axis=-2)
+    return np.einsum("...ab,...b->...a", flow.J[..., idx, :, :], pulled)
 
 
 def _assemble(jinv: np.ndarray, v_along: np.ndarray, jt: np.ndarray,

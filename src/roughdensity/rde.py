@@ -1,11 +1,11 @@
 """Flow solvers: the rough differential equation with its Jacobian pair,
 and the smooth skeleton ODE driven by Cameron-Martin elements.
 
-The RDE stepper is a one-step second-order Taylor update driven by level-1
-increments; each step forms the piecewise-linear lift's level 2,
-x^2 = (1/2) x^1 (x) x^1, itself.  Time is adjoined as a smooth zeroth
-component (weights dt^2/2 and dt dx/2 for the drift blocks).  J is the
-exact derivative of the step map, and Jinv one batched inversion of J.
+The RDE stepper is the one-step second-order (Davie) update in W-form:
+z <- z + W + (1/2) DW W with W = V0(z) dt + V(z) x^1, which is the Taylor
+update with the piecewise-linear level 2 (1/2) x^1 (x) x^1 and the drift
+folded in, built from two-operand contractions only.  J is the exact
+derivative of the step map, and Jinv one batched inversion of J.
 
 Every solve returns a `FlowState`: one record for a single flow, a batch
 of flows along leading axes, and a skeleton flow.
@@ -69,13 +69,13 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
                 z0, eps: float = 1.0, with_jacobian: bool = True) -> FlowState:
     """Second-order one-step scheme over an ensemble of drivers.
 
-    ``level1``: (P, N, d) increments of the drivers' node values, scaled
-    by ``eps``; step i forms the level 2 eps^2 (1/2) dx (x) dx of the
-    unscaled dx = level1[:, i].  With the Jacobian, each step forms
-    A_i = d(dz_i)/dz once, (P, n, n), and updates J <- J + A_i J, so J is
-    the exact derivative of the discrete map; Jinv is np.linalg.inv(J)
-    over all (P, N+1) nodes.  The flow has a leading path axis: Z is
-    (P, N+1, n), J and Jinv (P, N+1, n, n).
+    ``level1``: (P, N, d) increments dx of the drivers' node values; step i
+    takes x^1 = eps dx, W = V0 dt + V x^1 and DW = DV0 dt + DV x^1 at the
+    current state and adds W + (1/2) DW W.  With the Jacobian, each step
+    forms A_i = DW + (1/2)(D2W[W] + DW DW), (P, n, n), with
+    D2W = D2V0 dt + D2V x^1, and updates J <- J + A_i J, so J is the exact
+    derivative of the discrete map; Jinv is np.linalg.inv(J) over all
+    (P, N+1) nodes.  Z is (P, N+1, n), J and Jinv (P, N+1, n, n).
 
     The steps run time-major: over one contiguous (N, P, d) copy of the
     increments, writing Z as (N+1, P, n), so each step reads and writes
@@ -95,7 +95,7 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
     steps = np.ascontiguousarray(level1.transpose(1, 0, 2))     # (N, P, d)
     Z = np.empty((N + 1, P, n))
     Z[0] = z0
-    z = np.broadcast_to(z0, (P, n)).copy()
+    z = Z[0]
     if with_jacobian:
         J = np.empty((P, N + 1, n, n))
         J[:, 0] = np.eye(n)
@@ -104,42 +104,23 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
 
     for i in range(N):
         dt = dts[i]
-        dx = steps[i]                              # (P, d)
-        x1 = eps * dx
-        x2 = (eps * eps) * (0.5 * (dx[:, :, None] * dx[:, None, :]))
-        v0 = vf.v0(z)
-        v = vf.v(z)
-        dv0 = vf.dv0(z)
-        dv = vf.dv(z)
-
-        vx1 = np.einsum("pad,pd->pa", v, x1)
-        dz = v0 * dt
-        dz += vx1
-        dz += np.einsum("pabk,pbj,pjk->pa", dv, v, x2)
-        dz += 0.5 * dt * dt * np.einsum("pab,pb->pa", dv0, v0)
-        dz += 0.5 * dt * (np.einsum("pabj,pb,pj->pa", dv, v0, x1)
-                          + np.einsum("pab,pbj,pj->pa", dv0, v, x1))
+        x1 = eps * steps[i]                        # (P, d)
+        w = vf.v0(z) * dt
+        w += np.einsum("pad,pd->pa", vf.v(z), x1)
+        dw = vf.dv0(z) * dt
+        dw += np.einsum("pabj,pj->pab", vf.dv(z), x1)
 
         if with_jacobian:
-            # A = d(dz)/dz term by term, contracted with x1 and x2 so no
-            # (n, n, d, d) block is built: dv0 dt, dv x1, the level-2
-            # term d2v (v x2) + dv (dv x2), the drift terms dt^2/2 (d2v0 v0
-            # + dv0 dv0) and the mixed terms dt/2 (d2v (v0 x1) + (dv x1) dv0
-            # + d2v0 (v x1) + dv0 (dv x1)).
-            dvx1 = np.einsum("pacj,pj->pac", dv, x1)
-            dvx2 = dv @ x2[:, None]                          # (P, n, n, d)
-            a = dt * dv0 + dvx1
-            a += np.einsum("pacek,pek->pac", vf.d2v(z),
-                           v @ x2 + 0.5 * dt * np.einsum("pe,pk->pek", v0, x1))
-            a += dv.reshape(P, n, n * d) @ dvx2.transpose(0, 1, 3, 2).reshape(
-                P, n * d, n)
-            a += 0.5 * dt * np.einsum("pace,pe->pac", vf.d2v0(z),
-                                      dt * v0 + vx1)
-            a += 0.5 * dt * (dt * dv0 @ dv0 + dvx1 @ dv0 + dv0 @ dvx1)
+            # A = d(dz)/dz = DW + (1/2)(D2W[W] + DW DW); D2W is contracted
+            # over its first derivative index, so A is the exact derivative
+            # whether or not the fields' second derivatives are symmetric
+            d2w = vf.d2v0(z) * dt
+            d2w += np.einsum("pabcj,pj->pabc", vf.d2v(z), x1)
+            a = dw + 0.5 * (np.einsum("pabc,pb->pac", d2w, w) + dw @ dw)
             J[:, i + 1] = J[:, i] + a @ J[:, i]
 
-        z = z + dz
-        if not np.all(np.isfinite(z)) or np.abs(z).max() > BLOW_UP_GUARD:
+        z = z + (w + 0.5 * np.einsum("pab,pb->pa", dw, w))
+        if not np.abs(z).max() <= BLOW_UP_GUARD:      # NaN fails it too
             raise BlowUpError(
                 f"state escaped |Z| <= {BLOW_UP_GUARD:g} at step {i + 1} "
                 "(step too coarse or field unbounded)", last_valid_step=i)

@@ -1,17 +1,26 @@
-"""Slow reference for `solve_batch` with the Jacobian: the solver it replaced,
-kept as a test oracle.
+"""Slow references for the flow solver and the directional derivative: the
+term-by-term forms they replaced, kept as test oracles.
+
+`three_mechanism_solve_batch` is the solver before J^-1 came from one
+inversion: the state update is the second-order scheme term by term
+(Davie's expansion, with the drift folded in through dt^2/2 and dt dx/2).
 
 J propagates through the term-by-term derivative of the one-step map
 (the a_jk/a_00/a_x blocks).  The inverse K ~ J^-1 propagates through its
 own linearized update (the b_jk/b_00/b_x blocks), gets a Newton correction
 K <- K (2I - J K) every step and a full re-inversion from J every
-``reinvert_every`` steps.  The state update is the same as `solve_batch`.
+``reinvert_every`` steps.
+
+`term_by_term_directional_derivative` pairs the flow's Jacobians with the
+derivative of that same term-by-term update along h, through the mixed
+level-2 channel (1/2)(dh (x) dx + dx (x) dh).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from roughdensity.malliavin import _t_index
 from roughdensity.rde import FlowState
 
 
@@ -92,3 +101,26 @@ def three_mechanism_solve_batch(level1, level2, grid, vf, z0, eps=1.0,
         Z[:, i + 1] = z
 
     return FlowState(grid=grid, Z=Z, J=J, Jinv=K, z0=z0, eps=eps)
+
+
+def term_by_term_directional_derivative(flow, vf, level1, shift, t_node):
+    """Cameron-Martin directional derivative of Z_t along h, shape (..., n)."""
+    idx = _t_index(flow.grid, t_node)
+    if idx == 0:
+        return np.zeros(flow.Z.shape[:-2] + (vf.n,))
+    eps = flow.eps
+    dts = flow.grid.dts[:idx]
+    dh = np.diff(shift[..., : idx + 1, :], axis=-2)
+    dx = level1[..., :idx, :]
+    z = flow.Z[..., :idx, :]
+    v0, v = vf.v0(z), vf.v(z)
+    dv0, dv = vf.dv0(z), vf.dv(z)
+    x2ch = 0.5 * (np.einsum("...sj,...sk->...sjk", dh, dx)
+                  + np.einsum("...sj,...sk->...sjk", dx, dh))
+    b = eps * np.einsum("...sad,...sd->...sa", v, dh)
+    b += (eps * eps) * np.einsum("...sabk,...sbj,...sjk->...sa", dv, v, x2ch)
+    b += 0.5 * eps * dts[:, None] * (
+        np.einsum("...sabj,...sb,...sj->...sa", dv, v0, dh)
+        + np.einsum("...sab,...sbj,...sj->...sa", dv0, v, dh))
+    return np.einsum("...ab,...sbc,...sc->...a", flow.J[..., idx, :, :],
+                     flow.Jinv[..., 1: idx + 1, :, :], b)

@@ -452,6 +452,8 @@ from roughdensity.fields import identity_field
 from roughdensity.kernels import FractionalBrownian, FractionalOU, TimeGrid
 from roughdensity.runner import run
 assert run(json.loads(sys.argv[3]), sys.argv[2] + "-gated") == 0
+for i, config in enumerate(json.loads(sys.argv[4])):
+    assert run(config, sys.argv[2] + f"-mc{i}") == 0
 unused = sorted(m for m in sys.modules
                 for top in ("jsonschema", "referencing", "importlib.metadata",
                             "numpy.ma") if m == top or m.startswith(top + "."))
@@ -467,16 +469,32 @@ AUDIT_SMALL = {"kernel": {"family": "fbm", "H": 0.4}, "grid": {"n_steps": 32},
                "vf": {"name": "bounded_nonlinear"},
                "experiment": "audit-malliavin", "n_pairs": 4, "seed": 1}
 
+TAILS_SMALL = {"kernel": {"family": "fbm", "H": 0.5, "T": 1.0, "rho": 1.0},
+               "grid": {"n_steps": 64},
+               "vf": {"name": "identity", "params": {"n": 1}},
+               "experiment": "tails", "seed": 11, "n_paths": 20000}
+
+VARADHAN_SMALL = {
+    "kernel": {"family": "fbm", "H": 0.5, "T": 1.0, "rho": 1.0},
+    "grid": {"n_steps": 64},
+    "vf": {"name": "identity", "params": {"n": 1}},
+    "experiment": "varadhan", "seed": 13, "n_paths": 30000,
+    "y_targets": [0.5], "eps_list": [0.5, 0.4, 0.3],
+    "m_nodes": 8, "n_starts": 2,
+    "thresholds": {"varadhan_gap": 0.1},
+}
+
 
 def test_scipy_stays_off_the_import_path(tmp_path):
     # importing the command line loads no process or thread pool module;
-    # the import and a gated audit run load no jsonschema,
-    # importlib.metadata or numpy.ma; with a hypotheses run and a
-    # rate-function solve (a SkeletonPropagator) added, still no scipy
-    # module is loaded; the fOU kernel's quadrature loads scipy
+    # the import, a gated audit run and small gated tails and varadhan runs
+    # load no jsonschema, importlib.metadata or numpy.ma; with a hypotheses
+    # run and a rate-function solve (a SkeletonPropagator) added, still no
+    # scipy module is loaded; the fOU kernel's quadrature loads scipy
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(HYP_OK),
-         str(tmp_path / "out"), json.dumps(AUDIT_SMALL)],
+         str(tmp_path / "out"), json.dumps(AUDIT_SMALL),
+         json.dumps([TAILS_SMALL, VARADHAN_SMALL])],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     pools, loaded, unused, fou_loads_quad = json.loads(proc.stdout)
@@ -584,25 +602,12 @@ def test_audit_malliavin_matches_per_pair_loop(tmp_path):
 
 
 def test_tails_experiment(tmp_path):
-    config = {"kernel": {"family": "fbm", "H": 0.5, "T": 1.0, "rho": 1.0},
-              "grid": {"n_steps": 64},
-              "vf": {"name": "identity", "params": {"n": 1}},
-              "experiment": "tails", "seed": 11, "n_paths": 20000}
-    assert run(config, str(tmp_path / "out")) == EXIT_PASS
+    assert run(TAILS_SMALL, str(tmp_path / "out")) == EXIT_PASS
 
 
 def test_varadhan_experiment(tmp_path):
-    config = {
-        "kernel": {"family": "fbm", "H": 0.5, "T": 1.0, "rho": 1.0},
-        "grid": {"n_steps": 64},
-        "vf": {"name": "identity", "params": {"n": 1}},
-        "experiment": "varadhan", "seed": 13, "n_paths": 30000,
-        "y_targets": [0.5], "eps_list": [0.5, 0.4, 0.3],
-        "m_nodes": 8, "n_starts": 2,
-        "thresholds": {"varadhan_gap": 0.1},
-    }
     out = tmp_path / "out"
-    assert run(config, str(out)) == EXIT_PASS
+    assert run(VARADHAN_SMALL, str(out)) == EXIT_PASS
     table = (out / "varadhan.csv").read_text().splitlines()
     assert table[0] == "y,eps,eps2_log_p,trusted"
     assert len(table) == 4

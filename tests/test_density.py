@@ -136,6 +136,26 @@ def test_tail_fit_empty_window_errors():
         tail_fit(est, [0.0], rho=1.0, kappa_t=1.0)
 
 
+def quantile_samples():
+    rng = np.random.default_rng(59)
+    for n in [*range(2, 65), 65536]:
+        yield rng.standard_normal(n)                   # mixed signs
+        yield rng.integers(0, 4, n).astype(float)      # tie-heavy
+        yield rng.standard_normal((n, 2))              # two columns
+
+
+def test_quantile_helpers_match_numpy():
+    # the helpers partition instead of sorting through np.percentile and
+    # np.median (which import numpy.ma) and give their numbers bit for bit;
+    # on mixed-sign samples the two numpy forms of a midpoint differ
+    qs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    for x in quantile_samples():
+        got, want = dens._quantiles(x, qs), np.quantile(x, qs, axis=0)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        got, want = dens._median(x), np.median(x, axis=0)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
 def test_tail_fit_window_excludes_underflowed_se():
     # Outside the support of tanh(N(0, 1)) every all-pairs kernel weight
     # squares to zero, so se underflows to 0 while p is still subnormal or

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,64 @@ def test_scalar_linear_values():
     assert vf.v(x)[0, 0, 0] == 6.0
     with pytest.raises(KeyError):
         field_from_spec("nope")
+
+
+def closed_form(name, x):
+    """The six callables of catalog field ``name`` at one state ``x``
+    (default parameters), entry by entry from the formulas in scalar math:
+    v0, v, dv0, dv, d2v0, d2v with dv[a, b, j] = d V_j^a / d x^b."""
+    n = x.size
+    v0, v = np.zeros(n), np.zeros((n, n))
+    dv0, dv = np.zeros((n, n)), np.zeros((n, n, n))
+    d2v0, d2v = np.zeros((n, n, n)), np.zeros((n, n, n, n))
+    if name == "identity":
+        v[:] = np.eye(n)
+    elif name == "scalar_linear":
+        v[0, 0], dv[0, 0, 0] = x[0], 1.0
+    elif name == "linear_drift":
+        v0[0], dv0[0, 0] = -x[0], -1.0
+    elif name == "bounded_nonlinear":
+        t = math.tanh(x[0])
+        s2 = 1 - t * t
+        v0[0], v[0, 0] = -0.25 * t, 1 + 0.5 * t * t
+        dv0[0, 0], dv[0, 0, 0] = -0.25 * s2, t * s2
+        d2v0[0, 0, 0], d2v[0, 0, 0, 0] = 0.5 * t * s2, s2 * (1 - 3 * t * t)
+    elif name == "rotation_mix":
+        a, (x1, x2) = 0.1, x
+        s, m = x1 + x2, x1 - x2
+        # entry (row, column) of V with its gradient and Hessian in x
+        entries = {
+            (0, 0): (1 + a * math.sin(s), a * math.cos(s) * np.ones(2),
+                     -a * math.sin(s) * np.ones((2, 2))),
+            (0, 1): (a * math.cos(x1), [-a * math.sin(x1), 0.0],
+                     [[-a * math.cos(x1), 0.0], [0.0, 0.0]]),
+            (1, 0): (a * math.sin(x2), [0.0, a * math.cos(x2)],
+                     [[0.0, 0.0], [0.0, -a * math.sin(x2)]]),
+            (1, 1): (1 + a * math.cos(m), [-a * math.sin(m), a * math.sin(m)],
+                     -a * math.cos(m) * np.array([[1.0, -1.0], [-1.0, 1.0]])),
+        }
+        for (i, j), (val, grad, hess) in entries.items():
+            v[i, j], dv[i, :, j], d2v[i, :, :, j] = val, grad, hess
+    elif name == "degenerate_diag":
+        v[0, 0] = 1.0
+    else:
+        raise KeyError(name)
+    return v0, v, dv0, dv, d2v0, d2v
+
+
+CALLABLES = ("v0", "v", "dv0", "dv", "d2v0", "d2v")
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (5, 3)], ids=str)
+@pytest.mark.parametrize("name", sorted(FIELD_CATALOG))
+def test_catalog_fields_match_closed_forms(name, batch):
+    vf = field_from_spec(name)
+    x = np.random.default_rng(53).uniform(-2, 2, batch + (vf.n,))
+    for attr, want_at in zip(CALLABLES, zip(*[
+            closed_form(name, x[i]) for i in np.ndindex(batch)])):
+        got = getattr(vf, attr)(x)
+        assert got.dtype == np.float64, attr
+        assert got.shape == batch + want_at[0].shape, attr
+        np.testing.assert_allclose(got, np.stack(want_at).reshape(got.shape),
+                                   rtol=1e-15, atol=1e-15,
+                                   err_msg=f"{name}.{attr}")

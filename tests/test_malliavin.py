@@ -31,6 +31,8 @@ from roughdensity.paths import (CMElement, cm_eval, random_unit_element,
                                sample)
 from roughdensity.rde import solve, solve_batch
 
+from _flow_oracle import term_by_term_directional_derivative
+
 
 def catalog():
     return [
@@ -156,6 +158,29 @@ def test_matrix_symmetry_and_psd_on_samples():
     eigs = np.linalg.eigvalsh(gammas)
     trace = np.trace(gammas, axis1=-2, axis2=-1)
     assert np.all(eigs[:, 0] >= -1e-10 * np.maximum(trace, 1e-30))
+
+
+@pytest.mark.parametrize("vf",
+                         [rotation_mix_field(), bounded_nonlinear_field()],
+                         ids=lambda vf: vf.name)
+def test_directional_derivative_matches_term_by_term_oracle(vf):
+    # the W-form b = dW + (1/2)(dDW W + DW dW) regroups the oracle's
+    # term-by-term derivative of the same step: equal up to round-off
+    k = FractionalBrownian(0.4)
+    grid = TimeGrid.regular(64)
+    ens = sample(k, grid, d=vf.d, n_paths=8, seed=43)
+    l1 = lift_ensemble(ens.data)
+    batch = solve_batch(l1, grid, vf, z0=[0.2] * vf.n, eps=0.9)
+    rng = np.random.default_rng(47)
+    shifts = np.stack([
+        cm_eval(CMElement(k, np.sort(rng.uniform(0.1, 1.0, 3)),
+                          rng.standard_normal((3, vf.d))), grid.nodes)
+        for _ in range(8)])
+    for t in (0.0, 0.25, 1.0):
+        got = directional_derivative(batch, vf, l1, shifts, t)
+        want = term_by_term_directional_derivative(batch, vf, l1, shifts, t)
+        assert got.shape == want.shape == (8, vf.n)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_pathwise_directional_derivative_oracle():

@@ -128,7 +128,9 @@ def test_jacobian_matches_three_mechanism_oracle(vf, z0):
     l1, l2, grid = fbm_drivers(vf)
     new = solve_batch(l1, grid, vf, z0, eps=0.8)
     old = three_mechanism_solve_batch(l1, l2, grid, vf, z0, eps=0.8)
-    assert np.array_equal(new.Z, old.Z)
+    # the W-form step regroups the oracle's polynomial: same map, last bits
+    np.testing.assert_allclose(new.Z, old.Z, rtol=0,
+                               atol=1e-12 * np.abs(old.Z).max())
     np.testing.assert_allclose(new.J, old.J, rtol=0,
                                atol=1e-12 * np.abs(old.J).max())
     # the oracle's K carries its own defect E = I - J K (its linearized
@@ -172,14 +174,28 @@ def test_flow_property_restart():
 def test_batch_solver_matches_single():
     k = FractionalBrownian(0.4)
     grid = TimeGrid.regular(32)
-    ens = sample(k, grid, d=1, n_paths=4, seed=17)
-    batch = solve_batch(lift_ensemble(ens.data), grid,
-                        bounded_nonlinear_field(), z0=[0.1], eps=0.5)
-    for p in range(4):
-        single = solve(ens.path(p), grid, bounded_nonlinear_field(),
-                       z0=[0.1], eps=0.5)
-        np.testing.assert_array_equal(batch.Z[p], single.Z)
-        np.testing.assert_array_equal(batch.J[p], single.J)
+    for vf, z0 in [(bounded_nonlinear_field(), [0.1]),
+                   (rotation_mix_field(), [0.1, -0.2])]:
+        ens = sample(k, grid, d=vf.d, n_paths=4, seed=17)
+        batch = solve_batch(lift_ensemble(ens.data), grid, vf, z0=z0, eps=0.5)
+        for p in range(4):
+            single = solve(ens.path(p), grid, vf, z0=z0, eps=0.5)
+            np.testing.assert_array_equal(batch.Z[p], single.Z)
+            np.testing.assert_array_equal(batch.J[p], single.J)
+            np.testing.assert_array_equal(batch.Jinv[p], single.Jinv)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_additive_flow_is_the_exact_cumulative_sum(n):
+    # identity field: W = x^1 and every other term of the step is an exact
+    # zero, so the flow from 0 is the running sum of eps dx to the last bit
+    grid = TimeGrid.regular(64)
+    ens = sample(FractionalBrownian(0.4), grid, d=n, n_paths=50, seed=37)
+    l1 = lift_ensemble(ens.data)
+    for eps in (0.25, 0.35, 0.5):
+        flow = solve_batch(l1, grid, identity_field(n), [0.0] * n, eps=eps,
+                           with_jacobian=False)
+        assert np.array_equal(flow.Z[:, 1:], np.cumsum(eps * l1, axis=1))
 
 
 def test_blow_up_guard():
