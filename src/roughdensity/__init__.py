@@ -51,5 +51,6 @@ from .density import (            # noqa: F401
     rate_function,
     tail_fit,
     tail_probability_check,
+    varadhan_check,
     varadhan_sweep,
 )

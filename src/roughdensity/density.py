@@ -7,7 +7,10 @@ are identical for any chunking/worker layout; reductions run in fixed
 chunk order.  With more than one worker, the chunks of
 `monte_carlo_reduce` run in forked worker processes (serially where the
 platform cannot fork).  A chunk enters the flow solver as its level-1
-increments (`lift_ensemble`); the solver forms each step's level 2 itself.
+increments (`lift_ensemble`), written once time-major so that every eps
+reads them without a copy; the solver forms each step's level 2 itself.
+`varadhan_check` solves the rate function d^2(y) in this process while the
+chunks of its sweep run in the workers.
 """
 
 from __future__ import annotations
@@ -52,16 +55,19 @@ def _chunk_ranges(n_paths: int):
             for off in range(0, n_paths, CHUNK_PATHS)]
 
 
-def _map_chunks(run_chunk, ranges, workers: int) -> list:
-    """``run_chunk`` over ``ranges``, results in chunk order.
+def _map_chunks(run_chunk, ranges, workers: int, meanwhile=None) -> list:
+    """``run_chunk`` over ``ranges``, results in chunk order; ``meanwhile``
+    (if given) is called in this process before the results are collected.
 
     With more than one worker and chunk, the chunks run in
     ``min(workers, len(ranges))`` forked processes, which inherit
     ``run_chunk`` rather than unpickle it (the fields' callables cannot be
-    pickled).  They run in this process instead where the platform cannot
-    fork, or where this process runs other threads, which makes a fork
-    unsafe.  Either way the first failing chunk in order raises its error,
-    and every worker is joined before this returns or raises.
+    pickled), and ``meanwhile`` runs while they do.  They run in this
+    process instead, after ``meanwhile``, where the platform cannot fork,
+    or where this process runs other threads, which makes a fork unsafe.
+    Either way an error of ``meanwhile`` comes first (the chunks are ended
+    unread), then the first failing chunk in order raises its error, and
+    every worker is joined before this returns or raises.
     """
     workers = min(workers, len(ranges))
     if workers > 1:
@@ -70,22 +76,30 @@ def _map_chunks(run_chunk, ranges, workers: int) -> list:
         if ("fork" in multiprocessing.get_all_start_methods()
                 and threading.active_count() == 1):
             return _map_forked(multiprocessing.get_context("fork"),
-                               run_chunk, ranges, workers)
+                               run_chunk, ranges, workers, meanwhile)
+    if meanwhile is not None:
+        meanwhile()
     return [run_chunk(r) for r in ranges]
 
 
-def _map_forked(ctx, run_chunk, ranges, workers: int) -> list:
-    """Worker k runs chunks k, k + workers, ... in order, sends each result
-    (or the error that stops it) down its pipe, and exits."""
+def _map_forked(ctx, run_chunk, ranges, workers: int,
+                meanwhile=None) -> list:
+    """Worker k runs chunks k, k + workers, ... in order (up to the first
+    error), then sends their results down its pipe and exits.  Sending at
+    the end keeps a worker from blocking on a full pipe while this process
+    is still in ``meanwhile``."""
     from multiprocessing.connection import wait
 
     def serve(conn, first):
+        done = []
         for i in range(first, len(ranges), workers):
             try:
-                conn.send((i, run_chunk(ranges[i])))
+                done.append((i, run_chunk(ranges[i])))
             except Exception as err:
-                conn.send((i, err))
-                return
+                done.append((i, err))
+                break
+        for item in done:
+            conn.send(item)
 
     done, procs, live = {}, [], []
     try:
@@ -96,6 +110,8 @@ def _map_forked(ctx, run_chunk, ranges, workers: int) -> list:
             procs.append(proc)
             send.close()
             live.append(recv)
+        if meanwhile is not None:
+            meanwhile()
         while live:
             for conn in wait(live):
                 try:
@@ -124,12 +140,17 @@ def _map_forked(ctx, run_chunk, ranges, workers: int) -> list:
 def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                        vf: VectorFieldSystem, z0, eps_list, n_paths: int,
                        seed: int, collect: str = "terminal",
-                       t_node=None, workers: int = 1) -> list[np.ndarray]:
+                       t_node=None, workers: int = 1,
+                       meanwhile=None) -> list[np.ndarray]:
     """Sample, lift and solve in fixed chunks; returns one array per eps.
 
     ``collect`` is ``"terminal"`` (state at ``t_node``, default the
     horizon) or ``"running_sup"`` (sup of |Z - z0| over nodes up to
     ``t_node``).  The same driver realization feeds every eps.
+    ``meanwhile``, a function of no arguments, is called in this process
+    once the chunks have started and before they are collected, so with
+    forked workers it runs while they do; if it raises, the chunks are
+    ended unread and its error propagates.
     """
     idx = grid.n_steps if t_node is None else grid.index_of(float(t_node))
     chol = cholesky_factor(kernel, grid)
@@ -137,7 +158,8 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
 
     def run_chunk(off_size):
         off, size = off_size
-        # the node values go once lifted: each solve makes its own copy
+        # the node values go once lifted; every solve reads the lift's
+        # time-major buffer as it is
         level1 = lift_ensemble(sample(kernel, grid, d=vf.d, n_paths=size,
                                       seed=seed, path_offset=off,
                                       chol=chol).data)
@@ -155,7 +177,8 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                 raise ValueError(f"unknown collector {collect!r}")
         return outs
 
-    results = _map_chunks(run_chunk, _chunk_ranges(n_paths), workers)
+    results = _map_chunks(run_chunk, _chunk_ranges(n_paths), workers,
+                          meanwhile)
     return [np.concatenate([r[i] for r in results], axis=0)
             for i in range(len(eps_list))]
 
@@ -552,10 +575,47 @@ def varadhan_sweep(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     trusted tail; ``d2`` is the rate d^2(y) the limit is compared with."""
     if grid is None:
         grid = TimeGrid.regular(256, horizon=kernel.horizon)
-    y_arr = np.atleast_2d(np.asarray(y, dtype=float))
     eps_arr = list(eps_list)
     terminals = monte_carlo_reduce(kernel, grid, vf, z0, eps_arr, n_paths,
                                    seed, collect="terminal", workers=workers)
+    return _sweep_limit(y, d2, eps_arr, terminals, n_paths)
+
+
+def varadhan_check(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
+                   eps_list, n_paths: int, seed: int,
+                   grid: TimeGrid | None = None, workers: int = 1,
+                   m_nodes: int = 16, tol: float = 1e-6, n_starts: int = 5
+                   ) -> tuple[RateFunctionResult, VaradhanSweep]:
+    """The small-noise program at one target y: ``(rate, sweep)`` with
+    ``rate = rate_function(y, ..., m_nodes=, tol=, n_starts=, seed=)`` on
+    its default grid and ``sweep`` as `varadhan_sweep` gives it on ``grid``
+    with d2 = rate.d2.
+
+    d^2(y) is solved in this process while the sweep's chunks run (in
+    forked workers when ``workers`` > 1).  A rate failure ends the chunks
+    unread, so a failing run raises what the serial order rate, then
+    sweep, meets first.
+    """
+    if grid is None:
+        grid = TimeGrid.regular(256, horizon=kernel.horizon)
+    eps_arr = list(eps_list)
+    rate = []
+
+    def solve_rate():
+        rate.append(rate_function(y, kernel, vf, z0, m_nodes=m_nodes,
+                                  tol=tol, n_starts=n_starts, seed=seed))
+
+    terminals = monte_carlo_reduce(kernel, grid, vf, z0, eps_arr, n_paths,
+                                   seed, collect="terminal", workers=workers,
+                                   meanwhile=solve_rate)
+    return rate[0], _sweep_limit(y, rate[0].d2, eps_arr, terminals, n_paths)
+
+
+def _sweep_limit(y, d2: float, eps_arr: list, terminals: list,
+                 n_paths: int) -> VaradhanSweep:
+    """The `VaradhanSweep` of target y from the terminal samples of each
+    eps: KDE at y, trust floor and extrapolation to eps = 0."""
+    y_arr = np.atleast_2d(np.asarray(y, dtype=float))
     log_p, scaled, trusted = [], [], []
     for eps, term in zip(eps_arr, terminals):
         h = silverman_bandwidth(term)
@@ -596,6 +656,9 @@ def first_variation_samples(h: CMElement, kernel: CovKernel,
     for off, size in _chunk_ranges(n_paths):
         ens = sample(kernel, grid, d=vf.d, n_paths=size, seed=seed,
                      path_offset=off, chol=chol)
-        out[off: off + size] = np.einsum("sad,psd->pa", w,
-                                         lift_ensemble(ens.data))
+        # a strided view of the differences, not lift_ensemble's
+        # time-major buffer: einsum's summation order, and so the last
+        # bits, follow the operand's strides
+        out[off: off + size] = np.einsum(
+            "sad,psd->pa", w, np.diff(ens.data, axis=2).transpose(0, 2, 1))
     return out

@@ -177,9 +177,16 @@ def lift(values: np.ndarray, grid: TimeGrid) -> RoughPath2:
 
 def lift_ensemble(data: np.ndarray) -> np.ndarray:
     """Level-1 increments (P, N, d) of an ensemble's node values
-    (n_paths, d, n_nodes).  Their level 2 is the piecewise-linear lift's
-    (1/2) x^1 (x) x^1, which the flow solvers form step by step."""
-    return np.diff(data, axis=2).transpose(0, 2, 1)
+    (n_paths, d, n_nodes).  They are written time-major, by one strided
+    subtraction into a contiguous (N, P, d) buffer, and returned as its
+    (P, N, d) transposed view, so `rde.solve_batch`, which steps
+    time-major, reads them without a copy.  Their level 2 is the
+    piecewise-linear lift's (1/2) x^1 (x) x^1, which the flow solvers form
+    step by step."""
+    P, d, n_nodes = data.shape
+    out = np.empty((n_nodes - 1, P, d))
+    np.subtract(data[:, :, 1:], data[:, :, :-1], out=out.transpose(1, 2, 0))
+    return out.transpose(1, 0, 2)
 
 
 def rough_norm(rp: RoughPath2, p: float) -> float:

@@ -77,9 +77,12 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
     derivative of the discrete map; Jinv is np.linalg.inv(J) over all
     (P, N+1) nodes.  Z is (P, N+1, n), J and Jinv (P, N+1, n, n).
 
-    The steps run time-major: over one contiguous (N, P, d) copy of the
-    increments, writing Z as (N+1, P, n), so each step reads and writes
+    The steps run time-major: over the increments as a contiguous (N, P, d)
+    array, writing Z as (N+1, P, n), so each step reads and writes
     contiguous rows; Z is returned as the (P, N+1, n) transposed view.
+    `lift.lift_ensemble` returns increments whose (N, P, d) transpose is
+    already contiguous, so they are read as they are; any other layout is
+    copied once per call.
     """
     P, N, d = level1.shape
     if d != vf.d or N != grid.n_steps:

@@ -33,10 +33,9 @@ from .density import (
     NoiseFloorError,
     TargetUnreachableError,
     estimate_density,
-    rate_function,
     tail_fit,
     tail_probability_check,
-    varadhan_sweep,
+    varadhan_check,
 )
 from .fields import NonEllipticError, field_from_spec
 from .kernels import CovKernel, TimeGrid, kernel_from_spec
@@ -315,13 +314,11 @@ def _exp_varadhan(config, kernel, grid, out_dir, workers, gate):
     rows, results, criteria = [], [], []
     for y in y_targets:
         y_vec = [y] if isinstance(y, (int, float)) else list(y)
-        rate = rate_function(y_vec, kernel, vf, z0, seed=seed, tol=tol,
-                             m_nodes=config.get("m_nodes", 16),
-                             n_starts=config.get("n_starts", 5))
-        sweep = varadhan_sweep(y_vec, kernel, vf, z0, eps_list=eps_list,
-                               n_paths=config.get("n_paths", 100_000),
-                               seed=seed, d2=rate.d2, grid=grid,
-                               workers=workers)
+        rate, sweep = varadhan_check(
+            y_vec, kernel, vf, z0, eps_list=eps_list,
+            n_paths=config.get("n_paths", 100_000), seed=seed, grid=grid,
+            workers=workers, m_nodes=config.get("m_nodes", 16), tol=tol,
+            n_starts=config.get("n_starts", 5))
         for e, s, ok in zip(sweep.eps_list, sweep.scaled, sweep.trusted):
             rows.append([y_vec[0] if len(y_vec) == 1 else json.dumps(y_vec),
                          e, s, ok])

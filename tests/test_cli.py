@@ -15,6 +15,7 @@ import pytest
 
 import roughdensity
 from roughdensity.cli import main
+from roughdensity.density import varadhan_sweep
 from roughdensity.fields import field_from_spec
 from roughdensity.kernels import TimeGrid, kernel_from_spec
 from roughdensity.malliavin import directional_derivative
@@ -33,6 +34,7 @@ from roughdensity.runner import (
     EXIT_GATE,
     EXIT_PASS,
     ConfigError,
+    _jsonable,
     config_hash,
     load_schema,
     run,
@@ -458,11 +460,13 @@ unused = sorted(m for m in sys.modules
                 for top in ("jsonschema", "referencing", "importlib.metadata",
                             "numpy.ma") if m == top or m.startswith(top + "."))
 assert run(json.loads(sys.argv[1]), sys.argv[2]) == 0
+hypotheses_ma = "numpy.ma" in sys.modules
 rate_function([0.5], FractionalBrownian(0.4), identity_field(1), [0.0],
               grid=TimeGrid.regular(32), m_nodes=4, n_starts=1)
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 FractionalOU(0.4, 1.0)
-print(json.dumps([pools, loaded, unused, "scipy.integrate" in sys.modules]))
+print(json.dumps([pools, loaded, unused, hypotheses_ma,
+                  "scipy.integrate" in sys.modules]))
 """
 
 AUDIT_SMALL = {"kernel": {"family": "fbm", "H": 0.4}, "grid": {"n_steps": 32},
@@ -488,19 +492,22 @@ VARADHAN_SMALL = {
 def test_scipy_stays_off_the_import_path(tmp_path):
     # importing the command line loads no process or thread pool module;
     # the import, a gated audit run and small gated tails and varadhan runs
-    # load no jsonschema, importlib.metadata or numpy.ma; with a hypotheses
-    # run and a rate-function solve (a SkeletonPropagator) added, still no
-    # scipy module is loaded; the fOU kernel's quadrature loads scipy
+    # load no jsonschema, importlib.metadata or numpy.ma; a hypotheses run
+    # loads no numpy.ma either; with it and a rate-function solve (a
+    # SkeletonPropagator) added, still no scipy module is loaded; the fOU
+    # kernel's quadrature loads scipy
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(HYP_OK),
          str(tmp_path / "out"), json.dumps(AUDIT_SMALL),
          json.dumps([TAILS_SMALL, VARADHAN_SMALL])],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    pools, loaded, unused, fou_loads_quad = json.loads(proc.stdout)
+    pools, loaded, unused, hypotheses_ma, fou_loads_quad = json.loads(
+        proc.stdout)
     assert pools == []
     assert loaded == []
     assert unused == []
+    assert not hypotheses_ma
     assert fou_loads_quad
 
 
@@ -632,3 +639,90 @@ def test_varadhan_sweep_at_kernel_horizon(tmp_path, horizon, y):
     target = json.loads((out / "report.json").read_text())[
         "result"]["targets"][0]
     assert abs(target["rate_function"]["d2"] - y * y / (2 * horizon)) <= 1e-3
+
+
+VARADHAN_TWO = dict(VARADHAN_SMALL, y_targets=[0.5, -0.4])
+
+
+def test_varadhan_two_targets_match_single_sweeps(tmp_path):
+    """With the rate solves beside the chunks, a two-target report is the
+    same at workers 1 and 2, no worker is left running, and each target's
+    sweep is `varadhan_sweep` run for that target alone."""
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        code = run(VARADHAN_TWO, str(out), workers=workers)
+        assert multiprocessing.active_children() == []
+        runs.append((code, (out / "report.json").read_bytes()))
+    (code, blob), again = runs
+    assert again == (code, blob)
+    kernel = kernel_from_spec(VARADHAN_TWO["kernel"])
+    grid = TimeGrid.regular(64, horizon=kernel.horizon)
+    vf = field_from_spec("identity", {"n": 1})
+    targets = json.loads(blob)["result"]["targets"]
+    assert [t["sweep"]["y"] for t in targets] == [[0.5], [-0.4]]
+    for target in targets:
+        alone = varadhan_sweep(target["sweep"]["y"], kernel, vf, [0.0],
+                               eps_list=VARADHAN_TWO["eps_list"],
+                               n_paths=VARADHAN_TWO["n_paths"],
+                               seed=VARADHAN_TWO["seed"],
+                               d2=target["rate_function"]["d2"], grid=grid)
+        assert json.dumps(_jsonable(alone.to_json()), sort_keys=True) == \
+            json.dumps(target["sweep"], sort_keys=True)
+
+
+VARADHAN_ERROR_SCRIPT = """
+import json, multiprocessing, sys
+import roughdensity.density as dens
+from roughdensity.density import TargetUnreachableError
+from roughdensity.rde import BlowUpError
+from roughdensity.runner import run
+config, rate_fails = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+real = dens.rate_function
+
+def rate_function(y, *args, **kwargs):
+    if y[0] in rate_fails:
+        raise TargetUnreachableError(f"y={y}: pinned rate failure")
+    return real(y, *args, **kwargs)
+
+def solve_batch(*args, **kwargs):
+    raise BlowUpError("pinned chunk blow-up", last_valid_step=3)
+
+dens.rate_function = rate_function
+if sys.argv[3] == "1":
+    dens.solve_batch = solve_batch
+runs = []
+for workers in (1, 2):
+    out = f"{sys.argv[4]}/workers{workers}"
+    code = run(config, out, workers=workers)
+    with open(f"{out}/report.json") as fh:
+        runs.append([code, fh.read(), len(multiprocessing.active_children())])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize("targets, rate_fails, chunks_fail, error", [
+    ([0.5], [0.5], False, "pinned rate failure"),
+    ([0.5], [], True, "pinned chunk blow-up"),
+    # the serial order is rate(y1), sweep(y1), rate(y2), sweep(y2)
+    ([0.5, -0.4], [0.5], True, "pinned rate failure"),
+    ([0.5, -0.4], [-0.4], True, "pinned chunk blow-up"),
+], ids=["rate", "chunk", "rate-y1-beats-chunk", "chunk-beats-rate-y2"])
+def test_varadhan_errors_match_the_serial_order(tmp_path, targets,
+                                                rate_fails, chunks_fail,
+                                                error):
+    """The rate solves run while the chunks do, yet a failing run reports
+    the error the serial program meets first, with the same report bytes
+    and exit code at workers 1 and 2, and leaves no worker running; run in
+    a subprocess with a timeout, so a pool that hangs fails here."""
+    config = dict(VARADHAN_SMALL, y_targets=targets, n_paths=20000)
+    proc = subprocess.run(
+        [sys.executable, "-c", VARADHAN_ERROR_SCRIPT, json.dumps(config),
+         json.dumps(rate_fails), str(int(chunks_fail)), str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    serial, forked = json.loads(proc.stdout)
+    assert serial == forked
+    code, blob, alive = serial
+    assert code == EXIT_FAIL and alive == 0
+    assert error in json.loads(blob)["error"]

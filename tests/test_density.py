@@ -394,9 +394,9 @@ def test_monte_carlo_reduce_chunking_invariant(monkeypatch):
     worker left behind."""
     forked, map_forked = [], dens._map_forked
 
-    def counted(ctx, run_chunk, ranges, workers):
+    def counted(ctx, run_chunk, ranges, workers, *rest):
         forked.append(workers)
-        return map_forked(ctx, run_chunk, ranges, workers)
+        return map_forked(ctx, run_chunk, ranges, workers, *rest)
 
     monkeypatch.setattr(dens, "_map_forked", counted)
 

@@ -5,6 +5,7 @@ import pytest
 
 from _gate_oracle import oracle_fit, oracle_scans
 from roughdensity.diagnostics import (
+    _half_resolution_nodes,
     _scan_diagonal_dominance,
     _scan_negative_correlation,
     _window_fits,
@@ -118,6 +119,18 @@ def test_refinement_pair_reports_convergence():
     grid = TimeGrid.regular(32)
     fine, half = mixed_variation_refinement(k, (0, 1, 0, 1), 1.0, k.rho, grid)
     assert fine >= half - 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 7, 32, 65])
+def test_half_resolution_nodes_match_union1d(n):
+    # np.union1d, as the refinement called it twice, is the oracle
+    for horizon in (1.0, 2.0):
+        nodes = TimeGrid.regular(n, horizon=horizon).nodes
+        for rect in [(0, horizon, 0, horizon), (0.25, 0.5, 0.1, horizon),
+                     (0.3, 0.3, 0.7, 0.9), (nodes[1], nodes[2], 0.0, 0.33)]:
+            want = np.union1d(np.union1d(nodes[::2], [nodes[0], nodes[-1]]),
+                              list(rect))
+            assert np.array_equal(_half_resolution_nodes(nodes, rect), want)
 
 
 def test_brownian_eta_is_one():

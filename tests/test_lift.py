@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roughdensity.kernels import TimeGrid, brownian
+from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
 from roughdensity.lift import (
     RoughPath2,
     lift,
@@ -148,6 +148,28 @@ def test_lift_ensemble_matches_single_lifts():
     for p in range(3):
         rp = lift(ens.path(p), ens.grid)
         np.testing.assert_array_equal(l1[p], rp.step1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lift_ensemble_is_time_major_and_matches_path_major_oracle(d):
+    """The increments equal the old path-major view, the node values'
+    differences transposed, bit for bit, and their (N, P, d) transpose is
+    contiguous, so solve_batch reads them without a copy: for a whole
+    ensemble at an odd offset and for chunks of it at odd offsets, the
+    last one partial."""
+    k, grid = FractionalBrownian(0.4), TimeGrid.regular(64)
+    start, total, chunk = 5, 37, 16
+    data = sample(k, grid, d=d, n_paths=total, seed=9,
+                  path_offset=start).data
+    l1 = lift_ensemble(data)
+    assert l1.shape == (total, 64, d)
+    assert l1.transpose(1, 0, 2).flags.c_contiguous
+    assert np.array_equal(l1, np.diff(data, axis=2).transpose(0, 2, 1))
+    for off in range(0, total, chunk):            # 16, 16 and a partial 5
+        size = min(chunk, total - off)
+        part = sample(k, grid, d=d, n_paths=size, seed=9,
+                      path_offset=start + off).data
+        assert np.array_equal(lift_ensemble(part), l1[off: off + size])
 
 
 def test_refine_linear_midpoints():
