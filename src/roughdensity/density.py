@@ -152,6 +152,8 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
     forked workers it runs while they do; if it raises, the chunks are
     ended unread and its error propagates.
     """
+    if collect not in ("terminal", "running_sup"):
+        raise ValueError(f"unknown collector {collect!r}")
     idx = grid.n_steps if t_node is None else grid.index_of(float(t_node))
     chol = cholesky_factor(kernel, grid)
     z0_arr = np.atleast_1d(np.asarray(z0, dtype=float))
@@ -169,12 +171,10 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                                 with_jacobian=False)
             if collect == "terminal":
                 outs.append(batch.Z[:, idx, :].copy())
-            elif collect == "running_sup":
+            else:
                 dev = np.linalg.norm(batch.Z[:, : idx + 1, :] - z0_arr,
                                      axis=2)
                 outs.append(dev.max(axis=1))
-            else:
-                raise ValueError(f"unknown collector {collect!r}")
         return outs
 
     results = _map_chunks(run_chunk, _chunk_ranges(n_paths), workers,
@@ -520,8 +520,7 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     h_opt = CMElement(kernel, nodes, c[s_idx].reshape(m, d))
     # the winner's last linearization already carries its skeleton flow
     skeleton = FlowState(grid=grid, Z=phi[s_idx], J=jac[s_idx],
-                         Jinv=np.linalg.inv(jac[s_idx]), z0=phi[s_idx, 0],
-                         eps=1.0)
+                         z0=phi[s_idx, 0], eps=1.0)
     gamma = malliavin_matrix(skeleton, vf, kernel, grid.n_steps)
     return RateFunctionResult(
         y=y_arr, d2=float(energy[s_idx]), h_opt=h_opt,

@@ -25,6 +25,11 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .kernels import CovKernel, TimeGrid, jitter_cholesky, kernel_spec
+from .lift import max_dissection_sum
+
+# A sign violation of the hypothesis scans (and of the stationary variogram's
+# monotonicity and concavity) below SIGN_RTOL * sigma_T^2 is round-off.
+SIGN_RTOL = 1e-10
 
 
 def cell_rect_matrix(kernel: CovKernel, grid: TimeGrid) -> np.ndarray:
@@ -48,11 +53,12 @@ def _outer_dp(block: np.ndarray, gamma: float, rho: float) -> float:
     cs = np.zeros((block.shape[0], n_out + 1))
     np.cumsum(block, axis=1, out=cs[:, 1:])
     expo = rho / gamma
-    best = np.zeros(n_out + 1)
-    for b in range(1, n_out + 1):
+
+    def cost(b):
         a_vals = (np.abs(cs[:, b:b + 1] - cs[:, :b]) ** gamma).sum(axis=0)
-        best[b] = np.max(best[:b] + a_vals ** expo)
-    return float(best[n_out] ** (1.0 / rho))
+        return a_vals ** expo
+
+    return float(max_dissection_sum(cost, n_out + 1) ** (1.0 / rho))
 
 
 def mixed_variation(kernel: CovKernel, rect, gamma: float, rho: float,
@@ -288,8 +294,7 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), float(np.exp(intercept))
 
 
-def stationary_valid_horizon(kernel: CovKernel, grid: TimeGrid,
-                             tol: float = 1e-10) -> float:
+def stationary_valid_horizon(kernel: CovKernel, grid: TimeGrid) -> float:
     """Largest grid time T' such that the variogram F(x) = sigma^2(0, x) is
     non-decreasing and concave on [0, T'] (equivalently the stationary
     covariance K is decreasing and convex there)."""
@@ -298,8 +303,8 @@ def stationary_valid_horizon(kernel: CovKernel, grid: TimeGrid,
     scale = max(abs(F[-1]), 1e-30)
     d1 = np.diff(F)
     d2 = np.diff(d1)
-    ok1 = d1 >= -tol * scale
-    ok2 = d2 <= tol * scale
+    ok1 = d1 >= -SIGN_RTOL * scale
+    ok2 = d2 <= SIGN_RTOL * scale
     t_valid = x[1]
     for i in range(1, x.size):
         if not ok1[i - 1] or (i >= 2 and not ok2[i - 2]):
@@ -308,12 +313,11 @@ def stationary_valid_horizon(kernel: CovKernel, grid: TimeGrid,
     return float(t_valid)
 
 
-def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
-                     tol: float = 1e-10) -> HypothesisReport:
+def check_hypotheses(kernel: CovKernel, grid: TimeGrid) -> HypothesisReport:
     """Grid scan of the sign hypotheses, the non-determinism index, and the
     Hölder-controlled variation fit.
 
-    Sign violations below ``tol * sigma_T^2`` count as round-off.  The
+    Sign violations below ``SIGN_RTOL * sigma_T^2`` count as round-off.  The
     conditional variance is taken against the grid increments outside each
     sub-interval; alpha is the log-log slope over lengths in
     [4*mesh, T/4] and c_X the minimum of condVar / length^alpha there.
@@ -328,12 +332,12 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
     scale = max(kernel.sigma_sq0(grid.horizon), 1e-30)
 
     worst_nc, wit_nc = _scan_negative_correlation(g)
-    nc = SignScan(passed=bool(worst_nc <= tol * scale), worst=float(worst_nc),
-                  witness=tuple(nodes[list(wit_nc)]))
+    nc = SignScan(passed=bool(worst_nc <= SIGN_RTOL * scale),
+                  worst=float(worst_nc), witness=tuple(nodes[list(wit_nc)]))
 
     worst_dd, wit_dd = _scan_diagonal_dominance(g)
-    dd = SignScan(passed=bool(worst_dd >= -tol * scale), worst=float(worst_dd),
-                  witness=tuple(nodes[list(wit_dd)]))
+    dd = SignScan(passed=bool(worst_dd >= -SIGN_RTOL * scale),
+                  worst=float(worst_dd), witness=tuple(nodes[list(wit_dd)]))
 
     starts, ends = np.triu_indices(grid.n_steps + 1, 1)
     widths, lengths = ends - starts, nodes[ends] - nodes[starts]
@@ -357,7 +361,7 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
 
     valid_horizon = None
     if kernel.family in ("stationary", "sum_fbm", "fourier", "fou"):
-        valid_horizon = stationary_valid_horizon(kernel, grid, tol)
+        valid_horizon = stationary_valid_horizon(kernel, grid)
 
     return HypothesisReport(
         kernel=kernel.label,
@@ -374,7 +378,7 @@ def check_hypotheses(kernel: CovKernel, grid: TimeGrid,
             "window_fallback": fallback,
             "n_fit_intervals": int(starts.size),
             "cell_jitter": cell_jitter,
-            "sign_tolerance": tol * scale,
+            "sign_tolerance": SIGN_RTOL * scale,
             "q_embedding": q_embedding(kernel.rho),
         },
     )

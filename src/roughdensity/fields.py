@@ -13,6 +13,10 @@ from typing import Callable
 
 import numpy as np
 
+# `ellipticity_scan` samples this many states in the box [lo, hi]^n.
+ELLIPTICITY_BOX = (-3.0, 3.0)
+ELLIPTICITY_SAMPLES = 1000
+
 
 class NonEllipticError(RuntimeError):
     """Ellipticity certificate failed: lambda_hat <= 0."""
@@ -220,16 +224,13 @@ def field_from_spec(name: str, params: dict | None = None) -> VectorFieldSystem:
     return FIELD_CATALOG[name](**(params or {}))
 
 
-def ellipticity_scan(vf: VectorFieldSystem, box=None, n_samples: int = 1000,
-                     seed: int = 0) -> float:
-    """Certificate lambda_hat = min over sampled states of the smallest
-    eigenvalue of V(x) V(x)^T (<= 0 flags the field as non-elliptic)."""
-    if box is None:
-        box = [(-3.0, 3.0)] * vf.n
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+def ellipticity_scan(vf: VectorFieldSystem, seed: int = 0) -> float:
+    """Certificate lambda_hat = min over uniform states in the box of the
+    smallest eigenvalue of V(x) V(x)^T (<= 0 flags the field as
+    non-elliptic)."""
+    lo, hi = ELLIPTICITY_BOX
     rng = np.random.Generator(np.random.Philox(key=seed))
-    x = lo + (hi - lo) * rng.random((n_samples, vf.n))
+    x = lo + (hi - lo) * rng.random((ELLIPTICITY_SAMPLES, vf.n))
     vv = vf.v(x)
     gram = np.einsum("pij,pkj->pik", vv, vv)
     eigs = np.linalg.eigvalsh(gram)

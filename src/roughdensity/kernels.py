@@ -37,6 +37,8 @@ def jitter_cholesky(mat: np.ndarray) -> tuple[np.ndarray, float]:
 
 # Level-2 lifts only: declared rho must stay below 3/2.
 RHO_MAX = 1.5
+# Relative tolerance of `FractionalOU`'s spectral quadrature.
+FOU_QUAD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -286,16 +288,15 @@ class FourierKernel(RecenteredStationary):
     """Stationary random Fourier series on [0, 2*pi], re-centered to start
     at zero.
 
-    The symmetric coefficient rule is alpha_k^2 = C * k^(-(1 + 1/rho))
-    (model case) or a user-supplied array; the series is truncated at
-    ``k_max`` and the summable tail is reported as ``truncation_error``.
+    The symmetric coefficient rule is alpha_k^2 = C * k^(-(1 + 1/rho));
+    the series is truncated at ``k_max`` and the summable tail is reported
+    as ``truncation_error``.
     """
 
     family = "fourier"
 
     def __init__(self, rho: float, C: float = 1.0, k_max: int = 4096,
-                 horizon: float = 1.0,
-                 coefficients: np.ndarray | None = None):
+                 horizon: float = 1.0):
         if horizon > 2 * math.pi:
             raise ParameterError("fourier kernels live on [0, 2*pi]")
         if k_max < 1:
@@ -303,18 +304,11 @@ class FourierKernel(RecenteredStationary):
         self.C = float(C)
         self.k_max = int(k_max)
         k = np.arange(1, self.k_max + 1, dtype=float)
-        if coefficients is not None:
-            coefficients = np.asarray(coefficients, dtype=float)
-            if coefficients.shape != (self.k_max,) or np.any(coefficients < 0):
-                raise ParameterError("coefficients must be k_max non-negative values")
-            self.alpha_sq = coefficients
-            self.truncation_error = 0.0
-        else:
-            if C <= 0:
-                raise ParameterError("C must be positive")
-            self.alpha_sq = C * k ** (-(1.0 + 1.0 / rho))
-            # tail bound: sum_{k > k_max} C k^(-(1+1/rho)) <= C rho k_max^(-1/rho)
-            self.truncation_error = C * rho * self.k_max ** (-1.0 / rho)
+        if C <= 0:
+            raise ParameterError("C must be positive")
+        self.alpha_sq = C * k ** (-(1.0 + 1.0 / rho))
+        # tail bound: sum_{k > k_max} C k^(-(1+1/rho)) <= C rho k_max^(-1/rho)
+        self.truncation_error = C * rho * self.k_max ** (-1.0 / rho)
         self._k = k
         self._K0 = float(self.alpha_sq.sum())
         super().__init__(rho, horizon)
@@ -343,14 +337,13 @@ class FractionalOU(RecenteredStationary):
     family = "fou"
 
     def __init__(self, H: float, lam: float, horizon: float = 1.0,
-                 rho: float | None = None, quad_rtol: float = 1e-10):
+                 rho: float | None = None):
         if not 0.0 < H < 1.0:
             raise ParameterError(f"H={H} outside (0, 1)")
         if lam <= 0:
             raise ParameterError("lambda must be positive")
         self.H = float(H)
         self.lam = float(lam)
-        self.quad_rtol = float(quad_rtol)
         self.c_H = math.gamma(2 * H + 1) * math.sin(math.pi * H) / (2 * math.pi)
         self._cache: dict[float, float] = {}
         super().__init__(rho if rho is not None else max(1.0, 1.0 / (2 * H)), horizon)
@@ -367,15 +360,16 @@ class FractionalOU(RecenteredStationary):
         from scipy.integrate import quad   # only this kernel needs scipy
         if x == 0.0:
             val, err = quad(self._density, 0.0, np.inf, epsabs=0.0,
-                            epsrel=self.quad_rtol, limit=400)
+                            epsrel=FOU_QUAD_RTOL, limit=400)
             scale = abs(val)
         else:
             # Fourier-weighted quadrature on [0, inf) honours epsabs only;
             # anchor it to the kernel scale K(0).
             scale = abs(self._K_scalar(0.0) / (2.0 * self.c_H))
             val, err = quad(self._density, 0.0, np.inf, weight="cos", wvar=x,
-                            epsabs=self.quad_rtol * scale, limlst=400, limit=400)
-        if err > 10.0 * self.quad_rtol * max(scale, 1e-30):
+                            epsabs=FOU_QUAD_RTOL * scale, limlst=400,
+                            limit=400)
+        if err > 10.0 * FOU_QUAD_RTOL * max(scale, 1e-30):
             raise QuadratureError(
                 f"spectral quadrature error {err:.2e} above tolerance at gap {x:g}")
         out = 2.0 * self.c_H * val

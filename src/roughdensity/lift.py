@@ -22,16 +22,14 @@ class PVarResult(NamedTuple):
     method: str
 
 
-def _pvar_dp(norms_fn, n_nodes: int, p: float) -> float:
-    """Exact p-variation by dynamic programming over sub-grid partitions.
-
-    ``norms_fn(j)`` returns the vector of increment norms |f_{i, j}| for
-    i = 0 .. j-1.
-    """
+def max_dissection_sum(cost, n_nodes: int) -> float:
+    """Maximum over dissections 0 = k_0 < ... < k_r = n_nodes - 1 of the
+    sum of their interval costs, by dynamic programming: ``cost(j)`` returns
+    the costs of the intervals [i, j] for i = 0 .. j-1."""
     best = np.zeros(n_nodes)
     for j in range(1, n_nodes):
-        best[j] = np.max(best[:j] + norms_fn(j) ** p)
-    return float(best[-1] ** (1.0 / p))
+        best[j] = np.max(best[:j] + cost(j))
+    return best[-1]
 
 
 def p_variation(values: np.ndarray, p: float,
@@ -50,8 +48,9 @@ def p_variation(values: np.ndarray, p: float,
     m = vals.shape[0]
 
     def dp_on(v):
-        return _pvar_dp(lambda j: np.linalg.norm(v[j] - v[:j], axis=1),
-                        v.shape[0], p)
+        return float(max_dissection_sum(
+            lambda j: np.linalg.norm(v[j] - v[:j], axis=1) ** p,
+            v.shape[0]) ** (1.0 / p))
 
     if m - 1 <= cutoff:
         return PVarResult(dp_on(vals), "exact-dp")
@@ -116,19 +115,15 @@ class RoughPath2:
         if level != 2:
             raise ValueError("levels 1 and 2 only")
 
-        def norms(j):
-            blocks = self.level2_batch(np.arange(j), j)
-            return np.linalg.norm(blocks.reshape(j, -1), axis=1)
+        def dp_on(nodes):
+            def cost(j):
+                blocks = self.level2_batch(nodes[:j], int(nodes[j]))
+                return np.linalg.norm(blocks.reshape(j, -1), axis=1) ** p
+            return float(max_dissection_sum(cost, nodes.size) ** (1.0 / p))
 
         if n <= cutoff:
-            return PVarResult(_pvar_dp(norms, n + 1, p), "exact-dp")
-        take = np.unique(np.linspace(0, n, cutoff + 1).astype(int))
-
-        def norms_sub(j):
-            blocks = self.level2_batch(take[:j], int(take[j]))
-            return np.linalg.norm(blocks.reshape(j, -1), axis=1)
-
-        sub = _pvar_dp(norms_sub, take.size, p)
+            return PVarResult(dp_on(np.arange(n + 1)), "exact-dp")
+        sub = dp_on(np.unique(np.linspace(0, n, cutoff + 1).astype(int)))
         fine = float((np.linalg.norm(
             self.step2.reshape(n, -1), axis=1) ** p).sum() ** (1.0 / p))
         return PVarResult(max(sub, fine), "lower-bound")

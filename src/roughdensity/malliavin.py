@@ -25,6 +25,13 @@ from .paths import CMElement
 from .rde import FlowState, solve_skeleton
 
 
+# Degree of the random trigonometric polynomials of `trig_corpus`.
+TRIG_DEGREE = 8
+# A lower-chain margin of `interpolation_audit` above -AUDIT_RTOL (relative
+# to the chain's scale) is round-off, not a failure.
+AUDIT_RTOL = 1e-9
+
+
 class HypothesisGateError(RuntimeError):
     """Kernel failed its hypothesis report; gated computation refused."""
 
@@ -43,12 +50,12 @@ def derivative_kernel(flow: FlowState, vf: VectorFieldSystem,
     """Malliavin derivative kernel D_s Z_t = eps J_t J_s^{-1} V(Z_s) at the
     grid nodes s <= t (it carries the flow's driver scale), shape
     (..., t_index + 1, n, d)."""
-    if flow.J is None or flow.Jinv is None:
-        raise ValueError("flow was solved without the Jacobian pair")
+    if flow.J is None:
+        raise ValueError("flow was solved without the Jacobian")
     idx = _t_index(flow.grid, t_node)
     return flow.eps * np.einsum("...ab,...sbc,...scd->...sad",
                                 flow.J[..., idx, :, :],
-                                flow.Jinv[..., : idx + 1, :, :],
+                                np.linalg.inv(flow.J[..., : idx + 1, :, :]),
                                 vf.v(flow.Z[..., : idx + 1, :]))
 
 
@@ -63,13 +70,13 @@ def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
     W + (1/2) DW W with W = V0 dt + V x^1; its derivative along the driver
     increment h^1 = eps dh is b_s = dW + (1/2)(dDW W + DW dW), with
     dW = V h^1 and dDW = DV h^1.  The flow's J is the exact derivative of the
-    discrete step map and Jinv is J^-1, so J_t J_{s+1}^-1 is the exact
-    derivative of Z_t in Z_{s+1} and sum_s J_t J_{s+1}^-1 b_s is the exact
-    adjoint of the discrete flow map, up to round-off; it matches the
-    continuous pairing to scheme order.
+    discrete step map, so J_t J_{s+1}^-1 is the exact derivative of Z_t in
+    Z_{s+1} and sum_s J_t J_{s+1}^-1 b_s is the exact adjoint of the discrete
+    flow map, up to round-off; it matches the continuous pairing to scheme
+    order.
     """
-    if flow.J is None or flow.Jinv is None:
-        raise ValueError("flow was solved without the Jacobian pair")
+    if flow.J is None:
+        raise ValueError("flow was solved without the Jacobian")
     idx = _t_index(flow.grid, t_node)
     if idx == 0:
         return np.zeros(flow.Z.shape[:-2] + (vf.n,))
@@ -88,34 +95,24 @@ def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
     b = dw_h + 0.5 * (np.einsum("...sab,...sb->...sa", ddw_h, w)
                       + np.einsum("...sab,...sb->...sa", dw, dw_h))
     pulled = np.einsum("...sbc,...sc->...sb",
-                       flow.Jinv[..., 1: idx + 1, :, :], b).sum(axis=-2)
+                       np.linalg.inv(flow.J[..., 1: idx + 1, :, :]),
+                       b).sum(axis=-2)
     return np.einsum("...ab,...b->...a", flow.J[..., idx, :, :], pulled)
-
-
-def _assemble(jinv: np.ndarray, v_along: np.ndarray, jt: np.ndarray,
-              cells: np.ndarray, idx: int) -> np.ndarray:
-    """gamma = J_t [ sum_ij F_i M_ij F_j^T ] J_t^T with
-    F_s = Jinv_s V(Z_s), left endpoints s < t."""
-    f = np.einsum("...sab,...sbd->...sad", jinv[..., :idx, :, :],
-                  v_along[..., :idx, :, :])
-    m = cells[:idx, :idx]
-    c = np.einsum("ij,...iad,...jbd->...ab", m, f, f, optimize=True)
-    gamma = np.einsum("...ab,...bc,...dc->...ad", jt, c, jt)
-    return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
 
 def malliavin_matrix(flow: FlowState, vf: VectorFieldSystem,
                      kernel: CovKernel, t_node) -> np.ndarray:
-    """Malliavin matrix gamma_t of a solved flow, shape (..., n, n)."""
-    if flow.J is None or flow.Jinv is None:
-        raise ValueError("flow was solved without the Jacobian pair")
+    """Malliavin matrix gamma_t = sum_ij D_{s_i} Z_t M_ij D_{s_j} Z_t^T of a
+    solved flow: its derivative kernel at the left endpoints s_i < t paired
+    with itself against the covariance cells M, shape (..., n, n)."""
     if not np.all(np.isfinite(flow.Z)):
         raise FloatingPointError("flow contains non-finite states")
     idx = _t_index(flow.grid, t_node)
-    return (flow.eps ** 2) * _assemble(flow.Jinv, vf.v(flow.Z),
-                                       flow.J[..., idx, :, :],
-                                       cell_rect_matrix(kernel, flow.grid),
-                                       idx)
+    kern = derivative_kernel(flow, vf, idx)[..., :idx, :, :]
+    cells = cell_rect_matrix(kernel, flow.grid)[:idx, :idx]
+    gamma = np.einsum("ij,...iad,...jbd->...ab", cells, kern, kern,
+                      optimize=True)
+    return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
 
 def deterministic_malliavin_matrix(h: CMElement, vf: VectorFieldSystem, z0,
@@ -130,18 +127,18 @@ def deterministic_malliavin_matrix(h: CMElement, vf: VectorFieldSystem, z0,
 # Interpolation audit
 # ---------------------------------------------------------------------------
 
-def trig_corpus(grid: TimeGrid, n_functions: int, seed: int = 0,
-                degree: int = 8) -> np.ndarray:
-    """Random trigonometric polynomials sampled at cell left endpoints,
-    shape (n_functions, n_cells); standard-normal coefficients."""
+def trig_corpus(grid: TimeGrid, n_functions: int, seed: int = 0) -> np.ndarray:
+    """Random trigonometric polynomials of degree ``TRIG_DEGREE`` sampled at
+    cell left endpoints, shape (n_functions, n_cells); standard-normal
+    coefficients."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     t = grid.nodes[:-1]
     w = 2 * np.pi * t / grid.horizon
     out = np.empty((n_functions, t.size))
     for i in range(n_functions):
-        c = rng.standard_normal(2 * degree + 1)
+        c = rng.standard_normal(2 * TRIG_DEGREE + 1)
         vals = np.full(t.size, c[0])
-        for k in range(1, degree + 1):
+        for k in range(1, TRIG_DEGREE + 1):
             vals += c[2 * k - 1] * np.cos(k * w) + c[2 * k] * np.sin(k * w)
         out[i] = vals
     return out
@@ -185,8 +182,8 @@ class InterpolationAudit:
 
 def interpolation_audit(kernel: CovKernel, grid: TimeGrid,
                         n_random_fns: int = 100, seed: int = 0,
-                        report: HypothesisReport | None = None,
-                        tol: float = 1e-9) -> InterpolationAudit:
+                        report: HypothesisReport | None = None
+                        ) -> InterpolationAudit:
     """Audit the two-sided interpolation inequalities on a random smooth
     corpus.
 
@@ -235,7 +232,7 @@ def interpolation_audit(kernel: CovKernel, grid: TimeGrid,
             m1 = (lhs - mid) / scale
             m2 = (mid - low) / scale
             worst_margin = min(worst_margin, m1, m2)
-            if m1 < -tol or m2 < -tol:
+            if m1 < -AUDIT_RTOL or m2 < -AUDIT_RTOL:
                 chain_failures += 1
             # upper bound of the kappa-controlled inequality
             pv = p_variation(fc, p_upper).value

@@ -1,11 +1,12 @@
-"""Flow solvers: the rough differential equation with its Jacobian pair,
+"""Flow solvers: the rough differential equation with its Jacobian,
 and the smooth skeleton ODE driven by Cameron-Martin elements.
 
 The RDE stepper is the one-step second-order (Davie) update in W-form:
 z <- z + W + (1/2) DW W with W = V0(z) dt + V(z) x^1, which is the Taylor
 update with the piecewise-linear level 2 (1/2) x^1 (x) x^1 and the drift
 folded in, built from two-operand contractions only.  J is the exact
-derivative of the step map, and Jinv one batched inversion of J.
+derivative of the step map; the Malliavin layer inverts the slices of J it
+reads.
 
 Every solve returns a `FlowState`: one record for a single flow, a batch
 of flows along leading axes, and a skeleton flow.
@@ -47,13 +48,12 @@ class CoarseGridError(ValueError):
 
 @dataclass
 class FlowState:
-    """Solution, Jacobian and inverse Jacobian of one driver realization,
-    or of a batch of them along leading axes."""
+    """Solution and Jacobian of one driver realization, or of a batch of
+    them along leading axes."""
 
     grid: TimeGrid
     Z: np.ndarray                 # (..., N+1, n)
     J: np.ndarray | None          # (..., N+1, n, n)
-    Jinv: np.ndarray | None
     z0: np.ndarray
     eps: float
 
@@ -74,8 +74,7 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
     current state and adds W + (1/2) DW W.  With the Jacobian, each step
     forms A_i = DW + (1/2)(D2W[W] + DW DW), (P, n, n), with
     D2W = D2V0 dt + D2V x^1, and updates J <- J + A_i J, so J is the exact
-    derivative of the discrete map; Jinv is np.linalg.inv(J) over all
-    (P, N+1) nodes.  Z is (P, N+1, n), J and Jinv (P, N+1, n, n).
+    derivative of the discrete map.  Z is (P, N+1, n), J (P, N+1, n, n).
 
     The steps run time-major: over the increments as a contiguous (N, P, d)
     array, writing Z as (N+1, P, n), so each step reads and writes
@@ -129,9 +128,7 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
                 "(step too coarse or field unbounded)", last_valid_step=i)
         Z[i + 1] = z
 
-    Jinv = None if J is None else np.linalg.inv(J)
-    return FlowState(grid=grid, Z=Z.transpose(1, 0, 2), J=J, Jinv=Jinv,
-                     z0=z0, eps=eps)
+    return FlowState(grid=grid, Z=Z.transpose(1, 0, 2), J=J, z0=z0, eps=eps)
 
 
 def solve(values: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
@@ -143,7 +140,6 @@ def solve(values: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
                        grid, vf, z0, eps=eps, with_jacobian=with_jacobian)
     return FlowState(grid=flow.grid, Z=flow.Z[0],
                      J=None if flow.J is None else flow.J[0],
-                     Jinv=None if flow.Jinv is None else flow.Jinv[0],
                      z0=flow.z0, eps=eps)
 
 
@@ -278,6 +274,5 @@ def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0,
     one Cameron-Martin element."""
     prop = SkeletonPropagator(h.kernel, vf, grid, h.nodes)
     phi, jac = prop.propagate(h.coeffs[None], z0, with_jacobian=True)
-    return FlowState(grid=grid, Z=phi[0], J=jac[0],
-                     Jinv=np.linalg.inv(jac[0]), z0=_as_state(z0, vf.n),
+    return FlowState(grid=grid, Z=phi[0], J=jac[0], z0=_as_state(z0, vf.n),
                      eps=1.0)

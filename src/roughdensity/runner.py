@@ -57,6 +57,7 @@ EXIT_GATE = 3
 
 GATED_EXPERIMENTS = {"density", "tails", "varadhan", "audit-interpolation",
                      "audit-malliavin"}
+FIELD_EXPERIMENTS = {"density", "tails", "varadhan", "audit-malliavin"}
 
 
 class ConfigError(ValueError):
@@ -179,11 +180,19 @@ def _grid_from(config: dict, kernel: CovKernel) -> TimeGrid:
     return TimeGrid.regular(n, horizon=kernel.horizon)
 
 
+def _from_spec(what: str, build, *args):
+    """``build(*args)``, with a spec it cannot build raised as ConfigError."""
+    try:
+        return build(*args)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{what}: {type(err).__name__}: {err}") from None
+
+
 def _vf_from(config: dict):
     spec = config.get("vf")
     if spec is None:
         raise ConfigError("this experiment requires a 'vf' entry")
-    return field_from_spec(spec["name"], spec.get("params"))
+    return _from_spec("vf", field_from_spec, spec["name"], spec.get("params"))
 
 
 def _z0_from(config: dict, vf) -> list[float]:
@@ -199,7 +208,7 @@ def _z0_from(config: dict, vf) -> list[float]:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _exp_hypotheses(config, kernel, grid, out_dir, workers, gate):
+def _exp_hypotheses(config, kernel, grid, vf, out_dir, workers, gate):
     rep = check_hypotheses(kernel, grid)
     etas = {}
     for frac in (0.25, 0.5, 1.0):
@@ -226,7 +235,7 @@ def _exp_hypotheses(config, kernel, grid, out_dir, workers, gate):
     return result, criteria
 
 
-def _exp_sample(config, kernel, grid, out_dir, workers, gate):
+def _exp_sample(config, kernel, grid, vf, out_dir, workers, gate):
     n_paths = config.get("n_paths", 1000)
     d = config.get("d", 1)
     seed = config.get("seed", 0)
@@ -253,8 +262,7 @@ def _exp_sample(config, kernel, grid, out_dir, workers, gate):
     return result, criteria
 
 
-def _exp_density(config, kernel, grid, out_dir, workers, gate):
-    vf = _vf_from(config)
+def _exp_density(config, kernel, grid, vf, out_dir, workers, gate):
     z0 = _z0_from(config, vf)
     t = config.get("t", kernel.horizon)
     est = estimate_density(kernel, vf, z0, t=t,
@@ -281,8 +289,7 @@ def _exp_density(config, kernel, grid, out_dir, workers, gate):
     return result, criteria
 
 
-def _exp_tails(config, kernel, grid, out_dir, workers, gate):
-    vf = _vf_from(config)
+def _exp_tails(config, kernel, grid, vf, out_dir, workers, gate):
     z0 = _z0_from(config, vf)
     tau = config.get("t", kernel.horizon)
     levels = config.get("levels")
@@ -302,8 +309,7 @@ def _exp_tails(config, kernel, grid, out_dir, workers, gate):
     return result, criteria
 
 
-def _exp_varadhan(config, kernel, grid, out_dir, workers, gate):
-    vf = _vf_from(config)
+def _exp_varadhan(config, kernel, grid, vf, out_dir, workers, gate):
     z0 = _z0_from(config, vf)
     y_targets = config.get("y_targets")
     if not y_targets:
@@ -311,9 +317,13 @@ def _exp_varadhan(config, kernel, grid, out_dir, workers, gate):
     eps_list = config.get("eps_list", [0.5, 0.35, 0.25])
     gap_max = config.get("thresholds", {}).get("varadhan_gap", 0.1)
     seed, tol = config.get("seed", 0), config.get("tol", 1e-6)
+    targets = [[y] if isinstance(y, (int, float)) else list(y)
+               for y in y_targets]
+    if any(len(y_vec) != vf.n for y_vec in targets):
+        raise ConfigError("a y target's dimension does not match the "
+                          "vector field")
     rows, results, criteria = [], [], []
-    for y in y_targets:
-        y_vec = [y] if isinstance(y, (int, float)) else list(y)
+    for y_vec in targets:
         rate, sweep = varadhan_check(
             y_vec, kernel, vf, z0, eps_list=eps_list,
             n_paths=config.get("n_paths", 100_000), seed=seed, grid=grid,
@@ -339,7 +349,8 @@ def _exp_varadhan(config, kernel, grid, out_dir, workers, gate):
     return {"targets": results, "files": ["varadhan.csv"]}, criteria
 
 
-def _exp_audit_interpolation(config, kernel, grid, out_dir, workers, gate):
+def _exp_audit_interpolation(config, kernel, grid, vf, out_dir, workers,
+                             gate):
     audit = interpolation_audit(kernel, grid,
                                 n_random_fns=config.get("n_paths", 100),
                                 seed=config.get("seed", 0), report=gate)
@@ -353,8 +364,7 @@ def _exp_audit_interpolation(config, kernel, grid, out_dir, workers, gate):
     return result, criteria
 
 
-def _exp_audit_malliavin(config, kernel, grid, out_dir, workers, gate):
-    vf = _vf_from(config)
+def _exp_audit_malliavin(config, kernel, grid, vf, out_dir, workers, gate):
     z0 = _z0_from(config, vf)
     seed = config.get("seed", 0)
     n_pairs = config.get("n_pairs", 20)
@@ -412,9 +422,10 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
     validate_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kernel = kernel_from_spec(config["kernel"])
+    kernel = _from_spec("kernel", kernel_from_spec, config["kernel"])
     grid = _grid_from(config, kernel)
     experiment = config["experiment"]
+    vf = _vf_from(config) if experiment in FIELD_EXPERIMENTS else None
 
     t = config.get("t")
     if t is not None:
@@ -439,7 +450,7 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
     if error is None:
         try:
             result, criteria = _EXPERIMENTS[experiment](
-                config, kernel, grid, out, workers, gate_report)
+                config, kernel, grid, vf, out, workers, gate_report)
         except (NonEllipticError, HypothesisGateError) as err:
             code, error = EXIT_GATE, str(err)
         except (NoiseFloorError, TargetUnreachableError, BlowUpError,

@@ -14,19 +14,24 @@ K <- K (2I - J K) every step and a full re-inversion from J every
 `term_by_term_directional_derivative` pairs the flow's Jacobians with the
 derivative of that same term-by-term update along h, through the mixed
 level-2 channel (1/2)(dh (x) dx + dx (x) dh).
+
+`sandwich_malliavin_matrix` is the Malliavin matrix before it became the
+pairing of the derivative kernel with itself: J_t and eps^2 stay outside
+the sum, eps^2 J_t [sum_ij F_i M_ij F_j^T] J_t^T with F_s = J_s^-1 V(Z_s).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from roughdensity.diagnostics import cell_rect_matrix
 from roughdensity.malliavin import _t_index
 from roughdensity.rde import FlowState
 
 
 def three_mechanism_solve_batch(level1, level2, grid, vf, z0, eps=1.0,
-                                reinvert_every=64) -> FlowState:
-    """Z, J and K ~ J^-1 for an ensemble of lifted drivers."""
+                                reinvert_every=64):
+    """The flow (Z and J) and K ~ J^-1 for an ensemble of lifted drivers."""
     P, N, d = level1.shape
     n = vf.n
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
@@ -100,7 +105,7 @@ def three_mechanism_solve_batch(level1, level2, grid, vf, z0, eps=1.0,
         z = z + dz
         Z[:, i + 1] = z
 
-    return FlowState(grid=grid, Z=Z, J=J, Jinv=K, z0=z0, eps=eps)
+    return FlowState(grid=grid, Z=Z, J=J, z0=z0, eps=eps), K
 
 
 def term_by_term_directional_derivative(flow, vf, level1, shift, t_node):
@@ -123,4 +128,17 @@ def term_by_term_directional_derivative(flow, vf, level1, shift, t_node):
         np.einsum("...sabj,...sb,...sj->...sa", dv, v0, dh)
         + np.einsum("...sab,...sbj,...sj->...sa", dv0, v, dh))
     return np.einsum("...ab,...sbc,...sc->...a", flow.J[..., idx, :, :],
-                     flow.Jinv[..., 1: idx + 1, :, :], b)
+                     np.linalg.inv(flow.J[..., 1: idx + 1, :, :]), b)
+
+
+def sandwich_malliavin_matrix(flow, vf, kernel, t_node):
+    """Malliavin matrix gamma_t of a solved flow, shape (..., n, n)."""
+    idx = _t_index(flow.grid, t_node)
+    f = np.einsum("...sab,...sbd->...sad",
+                  np.linalg.inv(flow.J[..., :idx, :, :]),
+                  vf.v(flow.Z[..., :idx, :]))
+    m = cell_rect_matrix(kernel, flow.grid)[:idx, :idx]
+    c = np.einsum("ij,...iad,...jbd->...ab", m, f, f, optimize=True)
+    jt = flow.J[..., idx, :, :]
+    gamma = np.einsum("...ab,...bc,...dc->...ad", jt, c, jt)
+    return (flow.eps ** 2) * (0.5 * (gamma + np.swapaxes(gamma, -1, -2)))

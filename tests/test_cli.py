@@ -347,6 +347,37 @@ def test_t_off_the_grid_exits_2(tmp_path, capsys, experiment, t):
     assert f"{experiment}: t = {t:g}" in err and why in err
 
 
+@pytest.mark.parametrize("edit, why, gate_runs", [
+    ({"vf": {"name": "nope"}}, "vf: KeyError", False),
+    ({"vf": {"name": "identity", "params": {"bogus": 1}}}, "vf: TypeError",
+     False),
+    ({"kernel": {"family": "fbm", "H": 1.4}}, "kernel: ParameterError",
+     False),
+    ({"kernel": {"family": "fbm"}}, "kernel: KeyError", False),
+    ({"experiment": "varadhan", "y_targets": [[0.5, 0.5]]}, "dimension",
+     True),
+], ids=["unknown-field", "unknown-field-param", "fbm-H-out-of-range",
+        "fbm-without-H", "target-dimension"])
+def test_malformed_spec_exits_2(tmp_path, capsys, monkeypatch, edit, why,
+                                gate_runs):
+    """A kernel or field spec that cannot be built is a config error found
+    before the hypothesis gate runs; a target of the wrong dimension is one
+    found before any rate solve or chunk."""
+    real_gate, gates = roughdensity.runner.check_hypotheses, []
+
+    def gate(*args):
+        gates.append(args)
+        return real_gate(*args)
+
+    monkeypatch.setattr(roughdensity.runner, "check_hypotheses", gate)
+    cfg = write_config(tmp_path, {**DENSITY_SMALL, **edit})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and why in err
+    assert bool(gates) == gate_runs
+
+
 @pytest.mark.parametrize("config", [
     {"kernel": {"family": "fbm", "H": 0.4}, "grid": {"n_steps": 16},
      "vf": {"name": "rotation_mix"}, "experiment": "audit-malliavin",

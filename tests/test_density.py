@@ -415,6 +415,18 @@ def test_monte_carlo_reduce_chunking_invariant(monkeypatch):
     assert forked == [2, 3, 2, 3]
 
 
+def test_unknown_collector_fails_before_any_chunk(monkeypatch):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a chunk was sampled")
+
+    monkeypatch.setattr(dens, "sample", no_sample)
+    monkeypatch.setattr(dens, "CHUNK_PATHS", 50)
+    with pytest.raises(ValueError, match="unknown collector 'median'"):
+        monte_carlo_reduce(brownian(), TimeGrid.regular(32),
+                           identity_field(1), [0.0], [1.0], 100, seed=1,
+                           collect="median", workers=2)
+
+
 WORKER_BLOW_UP_SCRIPT = """
 import json, multiprocessing
 from roughdensity.density import monte_carlo_reduce

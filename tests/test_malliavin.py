@@ -29,9 +29,10 @@ from roughdensity.malliavin import (
 )
 from roughdensity.paths import (CMElement, cm_eval, random_unit_element,
                                sample)
-from roughdensity.rde import solve, solve_batch
+from roughdensity.rde import solve, solve_batch, solve_skeleton
 
-from _flow_oracle import term_by_term_directional_derivative
+from _flow_oracle import (sandwich_malliavin_matrix,
+                          term_by_term_directional_derivative)
 
 
 def catalog():
@@ -136,6 +137,45 @@ def test_malliavin_functions_broadcast_over_batch(vf):
                 single, vf, np.diff(vals, axis=0), shifts[p], t))
             want = malliavin_matrix(single, vf, k, t)
             assert np.abs(gammas[p] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("vf", [rotation_mix_field(),
+                                bounded_nonlinear_field()],
+                         ids=lambda vf: vf.name)
+def test_malliavin_matrix_matches_sandwich_oracle(vf):
+    # the pairing of the derivative kernel regroups the oracle's sum, which
+    # keeps J_t and eps^2 outside it: equal up to round-off, path by path
+    k = FractionalBrownian(0.4)
+    grid = TimeGrid.regular(64)
+    ens = sample(k, grid, d=vf.d, n_paths=8, seed=53)
+    batch = solve_batch(lift_ensemble(ens.data), grid, vf, z0=[0.1] * vf.n,
+                        eps=0.7)
+    for t in (0.5, 1.0):
+        got = malliavin_matrix(batch, vf, k, t)
+        want = sandwich_malliavin_matrix(batch, vf, k, t)
+        assert got.shape == want.shape == (8, vf.n, vf.n)
+        err = np.abs(got - want).max(axis=(-2, -1))
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=(-2, -1)))
+
+
+def test_identity_field_matrix_equals_sandwich_oracle_bitwise():
+    # J = Id and V = Id exactly, so both forms sum the same cells in the
+    # same order: the skeleton's gamma (the rate function's det_gamma) and
+    # rough flows at eps = 0.5, a power of two, are equal to the last bit
+    k = FractionalBrownian(0.5)
+    grid = TimeGrid.regular(64)
+    h = CMElement(k, [0.25, 0.75], [0.6, -0.2])
+    flows = [(identity_field(1),
+              solve_skeleton(h, identity_field(1), [0.0], grid))]
+    for n in (1, 2):
+        ens = sample(k, grid, d=n, n_paths=6, seed=59)
+        flows.append((identity_field(n),
+                      solve_batch(lift_ensemble(ens.data), grid,
+                                  identity_field(n), [0.0] * n, eps=0.5)))
+    for vf, flow in flows:
+        for t in (0.5, 1.0):
+            assert np.array_equal(malliavin_matrix(flow, vf, k, t),
+                                  sandwich_malliavin_matrix(flow, vf, k, t))
 
 
 def test_matrix_at_time_zero_is_zero():

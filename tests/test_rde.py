@@ -36,7 +36,7 @@ def test_additive_equation_is_exact():
     fs = solve(vals, grid, identity_field(2), z0=[0.5, -1.0], eps=0.7)
     want = np.array([0.5, -1.0]) + 0.7 * vals
     np.testing.assert_allclose(fs.Z, want, atol=1e-12)
-    # additive: J = Jinv = Id everywhere
+    # additive: J = Id everywhere
     np.testing.assert_allclose(fs.J, np.broadcast_to(np.eye(2), fs.J.shape),
                                atol=1e-14)
 
@@ -102,7 +102,7 @@ def test_solve_accepts_one_dimensional_values():
 def test_jacobian_inverse_consistency():
     vals, grid = bm_path(n=512, seed=11, d=2)
     fs = solve(vals, grid, rotation_mix_field(), z0=[0.3, -0.2], eps=0.6)
-    prod = np.einsum("tab,tbc->tac", fs.J, fs.Jinv)
+    prod = np.einsum("tab,tbc->tac", fs.J, np.linalg.inv(fs.J))
     err = np.abs(prod - np.eye(2)).max()
     assert err <= 1e-12
 
@@ -127,7 +127,7 @@ def fbm_drivers(vf, n=128, n_paths=6, seed=31):
 def test_jacobian_matches_three_mechanism_oracle(vf, z0):
     l1, l2, grid = fbm_drivers(vf)
     new = solve_batch(l1, grid, vf, z0, eps=0.8)
-    old = three_mechanism_solve_batch(l1, l2, grid, vf, z0, eps=0.8)
+    old, old_k = three_mechanism_solve_batch(l1, l2, grid, vf, z0, eps=0.8)
     # the W-form step regroups the oracle's polynomial: same map, last bits
     np.testing.assert_allclose(new.Z, old.Z, rtol=0,
                                atol=1e-12 * np.abs(old.Z).max())
@@ -136,9 +136,10 @@ def test_jacobian_matches_three_mechanism_oracle(vf, z0):
     # the oracle's K carries its own defect E = I - J K (its linearized
     # update is first order between Newton corrections), and J^-1 - K is
     # exactly J^-1 E
-    defect = np.eye(vf.n) - old.J @ old.Jinv
-    np.testing.assert_allclose(new.Jinv - old.Jinv, new.Jinv @ defect,
-                               rtol=0, atol=1e-12 * np.abs(new.Jinv).max())
+    new_inv = np.linalg.inv(new.J)
+    defect = np.eye(vf.n) - old.J @ old_k
+    np.testing.assert_allclose(new_inv - old_k, new_inv @ defect,
+                               rtol=0, atol=1e-12 * np.abs(new_inv).max())
 
 
 @FLOW_FIXTURES
@@ -182,7 +183,8 @@ def test_batch_solver_matches_single():
             single = solve(ens.path(p), grid, vf, z0=z0, eps=0.5)
             np.testing.assert_array_equal(batch.Z[p], single.Z)
             np.testing.assert_array_equal(batch.J[p], single.J)
-            np.testing.assert_array_equal(batch.Jinv[p], single.Jinv)
+            np.testing.assert_array_equal(np.linalg.inv(batch.J[p]),
+                                          np.linalg.inv(single.J))
 
 
 @pytest.mark.parametrize("n", [1, 2])
