@@ -24,9 +24,10 @@ from .diagnostics import kappa
 from .fields import VectorFieldSystem, ellipticity_scan, NonEllipticError
 from .kernels import CovKernel, TimeGrid
 from .lift import lift_ensemble
-from .malliavin import derivative_kernel, malliavin_matrix
+from .malliavin import (derivative_kernel, directional_derivative,
+                        malliavin_matrix)
 from .paths import CMElement, cholesky_factor, sample
-from .rde import (BlowUpError, FlowState, SkeletonPropagator, solve_batch,
+from .rde import (BlowUpError, CoarseGridError, FlowState, solve_batch,
                   solve_skeleton)
 
 CHUNK_PATHS = 16384
@@ -425,20 +426,39 @@ class RateFunctionResult:
                 "h_coeffs": self.h_opt.coeffs.tolist()}
 
 
+def _scheme_linearization(cs: np.ndarray, shifts: np.ndarray,
+                          grid: TimeGrid, vf: VectorFieldSystem, z0):
+    """Z and J of `solve_batch` at eps = 1 driven by the traces
+    sum_c cs[b, c] shifts[c] (coefficients (B, C), direction traces
+    (C, N+1, d)), and the terminal tangent dZ_N/dcs (B, n, C): one
+    `directional_derivative` call over the flow with a direction axis."""
+    level1 = np.einsum("bc,ctd->btd", cs, np.diff(shifts, axis=1))
+    flow = solve_batch(level1, grid, vf, z0)
+    along = FlowState(grid=grid, Z=flow.Z[:, None], J=flow.J[:, None],
+                      z0=flow.z0, eps=1.0)
+    tangent = directional_derivative(along, vf, level1[:, None], shifts,
+                                     grid.n_steps)
+    return flow.Z, flow.J, np.swapaxes(tangent, 1, 2)
+
+
 def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                   grid: TimeGrid | None = None, m_nodes: int = 16,
                   tol: float = 1e-6, n_starts: int = 5, seed: int = 0,
                   elliptic_gate: bool = True) -> RateFunctionResult:
-    """Minimize (1/2)|h|^2_H subject to the skeleton reaching y: Gauss-Newton
-    on the KKT system.  With h = sum_i c_i R(s_i, .) on ``m_nodes``
-    equispaced nodes, node Gram G and exact RK4 tangent A = dPhi_T/dc, each
-    step goes to the minimum-norm point of the linearized constraint,
+    """Minimize (1/2)|h|^2_H subject to the scheme reaching y: Gauss-Newton
+    on the KKT system.  The constraint map Phi(c) is `solve_batch`'s Z_N at
+    eps = 1 driven by h = sum_i c_i R(s_i, .) (``m_nodes`` equispaced
+    nodes) on ``grid``: the map a Monte-Carlo sweep on ``grid`` samples,
+    so d2 is its small-noise rate (contraction principle).  With node Gram
+    G and the tangent A = dPhi/dc (exact for the discrete map), each step
+    goes to the minimum-norm point of the linearized constraint,
     c+ = G^-1 A^T (A G^-1 A^T)^-1 (y - Phi(c) + A c), whose fixed points are
-    the KKT points; the step needs A G^-1 A^T, the deterministic Malliavin
+    the KKT points; the step needs A G^-1 A^T, the scheme's Malliavin
     matrix compressed to span{R(s_i, .)}, non-degenerate.  Steps backtrack
-    on |Phi - y| (a trial is kept if it lowers it or stays below tol/10).
-    ``n_starts`` seeded starts iterate as one batch; the feasible minimizer
-    of least energy wins (ties: lowest start index)."""
+    on |Phi - y| (a trial is kept if it lowers it or stays below tol/10,
+    and halves its step if the scheme refuses it).  ``n_starts`` seeded
+    starts iterate as one batch; the feasible minimizer of least energy
+    wins (ties: lowest start index)."""
     if elliptic_gate:
         lam = vf.elliptic_lambda
         if lam is None:
@@ -457,19 +477,16 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     # Gram and inverse Gram of the flattened coefficients c.ravel()
     gram_c = np.kron(gram, np.eye(d))
     gram_c_inv = np.kron(np.linalg.pinv(gram, hermitian=True), np.eye(d))
-    prop = SkeletonPropagator(kernel, vf, grid, nodes)
-
-    def linearize(cs):
-        phi, jac, tan = prop.propagate(cs.reshape(-1, m, d), z0,
-                                       with_jacobian=True, with_tangent=True)
-        return phi, jac, tan.reshape(len(cs), vf.n, m * d)
+    # the basis directions R(s_i, .) e_k on the grid, (m d, N+1, d)
+    traces = np.atleast_2d(kernel.eval(nodes[:, None], grid.nodes[None, :]))
+    shifts = np.einsum("it,kl->iktl", traces, np.eye(d)).reshape(m * d, -1, d)
 
     def h_norm(cs):
         return np.sqrt(np.einsum("bi,ij,bj->b", cs, gram_c, cs))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     c = 0.1 * rng.standard_normal((n_starts, m * d))
-    phi, jac, tangent = linearize(c)
+    phi, jac, tangent = _scheme_linearization(c, shifts, grid, vf, z0)
     step = np.ones(n_starts)
     history = [[] for _ in range(n_starts)]
     converged, singular = [], []
@@ -495,8 +512,9 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
             break
         trial = c[active] + step[active, None] * delta
         try:
-            phi_t, jac_t, tan_t = linearize(trial)
-        except BlowUpError:             # the whole batch backtracks
+            phi_t, jac_t, tan_t = _scheme_linearization(trial, shifts, grid,
+                                                        vf, z0)
+        except (BlowUpError, CoarseGridError):  # the whole batch backtracks
             step[active] *= 0.5
             continue
         resid_t = np.linalg.norm(phi_t[:, -1] - y_arr, axis=1)
@@ -518,10 +536,10 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     energy = 0.5 * h_norm(c) ** 2
     s_idx = min(converged, key=lambda s: (energy[s], s))
     h_opt = CMElement(kernel, nodes, c[s_idx].reshape(m, d))
-    # the winner's last linearization already carries its skeleton flow
-    skeleton = FlowState(grid=grid, Z=phi[s_idx], J=jac[s_idx],
-                         z0=phi[s_idx, 0], eps=1.0)
-    gamma = malliavin_matrix(skeleton, vf, kernel, grid.n_steps)
+    # the winner's last linearization already carries its flow
+    flow = FlowState(grid=grid, Z=phi[s_idx], J=jac[s_idx],
+                     z0=phi[s_idx, 0], eps=1.0)
+    gamma = malliavin_matrix(flow, vf, kernel, grid.n_steps)
     return RateFunctionResult(
         y=y_arr, d2=float(energy[s_idx]), h_opt=h_opt,
         residual=float(np.linalg.norm(phi[s_idx, -1] - y_arr)), tol=tol,
@@ -586,9 +604,9 @@ def varadhan_check(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                    m_nodes: int = 16, tol: float = 1e-6, n_starts: int = 5
                    ) -> tuple[RateFunctionResult, VaradhanSweep]:
     """The small-noise program at one target y: ``(rate, sweep)`` with
-    ``rate = rate_function(y, ..., m_nodes=, tol=, n_starts=, seed=)`` on
-    its default grid and ``sweep`` as `varadhan_sweep` gives it on ``grid``
-    with d2 = rate.d2.
+    ``rate = rate_function(y, ..., grid=, m_nodes=, tol=, n_starts=,
+    seed=)`` and ``sweep`` as `varadhan_sweep` gives it with d2 = rate.d2,
+    both on ``grid``: d^2(y) is the rate of the scheme the sweep samples.
 
     d^2(y) is solved in this process while the sweep's chunks run (in
     forked workers when ``workers`` > 1).  A rate failure ends the chunks
@@ -601,8 +619,9 @@ def varadhan_check(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     rate = []
 
     def solve_rate():
-        rate.append(rate_function(y, kernel, vf, z0, m_nodes=m_nodes,
-                                  tol=tol, n_starts=n_starts, seed=seed))
+        rate.append(rate_function(y, kernel, vf, z0, grid=grid,
+                                  m_nodes=m_nodes, tol=tol,
+                                  n_starts=n_starts, seed=seed))
 
     terminals = monte_carlo_reduce(kernel, grid, vf, z0, eps_arr, n_paths,
                                    seed, collect="terminal", workers=workers,

@@ -185,23 +185,22 @@ def _spline_derivative(x: np.ndarray, y: np.ndarray,
 
 
 class SkeletonPropagator:
-    """Batched terminal map of the skeleton ODE for elements on fixed nodes.
+    """Batched RK4 skeleton ODE for elements on fixed nodes.
 
     Each basis trace R(s_m, .) is known at the grid nodes; its derivative
     is that of the not-a-knot cubic spline through them (node slopes from
     one linear solve, then the cubic Hermite derivative), taken at the RK4
     stage times of the grid refined ``REFINE_FACTOR`` times.  The trace is
     linear in the coefficients, so these derivatives are computed once and
-    reused for every evaluation and tangent.
+    reused for every evaluation.
     """
 
     def __init__(self, kernel, vf: VectorFieldSystem, grid: TimeGrid,
                  h_nodes: np.ndarray):
         self.vf = vf
-        self.h_nodes = np.asarray(h_nodes, dtype=float)
         # basis traces R(s_m, t) on the grid
-        self.basis = np.atleast_2d(kernel.eval(self.h_nodes[:, None],
-                                               grid.nodes[None, :]))
+        self.basis = np.atleast_2d(kernel.eval(
+            np.asarray(h_nodes, dtype=float)[:, None], grid.nodes[None, :]))
         fine = grid.refine(REFINE_FACTOR)
         self.fine_nodes = fine.nodes
         stage_times = np.empty(2 * fine.n_steps + 1)
@@ -210,62 +209,41 @@ class SkeletonPropagator:
         self.basis_dot = _spline_derivative(grid.nodes, self.basis.T,
                                             stage_times).T   # (m, 2*M+1)
 
-    def propagate(self, coeffs: np.ndarray, z0, with_jacobian: bool = False,
-                  with_tangent: bool = False):
+    def propagate(self, coeffs: np.ndarray, z0):
         """RK4 the skeleton for a coefficient batch (B, m, d): phi at base
-        nodes (B, N+1, n), then as requested J = dphi/dz0 at base nodes
-        (B, N+1, n, n) and the terminal tangent A = dphi_T/dc (B, n, m, d),
-        exact derivatives of the discrete map from one variational recursion
-        through the same RK4 stages (J columns start at the identity, A
-        columns at zero and are forced by v(phi) bdot_m(t))."""
+        nodes (B, N+1, n) and J = dphi/dz0 at base nodes (B, N+1, n, n), the
+        exact derivative of the discrete map from the variational recursion
+        through the same RK4 stages."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim == 2:
             coeffs = coeffs[:, :, None]
-        B, m, d = coeffs.shape
+        B = coeffs.shape[0]
         vf, n = self.vf, self.vf.n
         hdot = np.einsum("bmd,mq->bqd", coeffs, self.basis_dot)  # (B, Q, d)
-        n_j, n_c = n * with_jacobian, m * d * with_tangent
         phi = np.broadcast_to(_as_state(z0, n), (B, n)).copy()
-        tan = np.zeros((B, n, n_j + n_c))
-        tan[:, :n_j, :n_j] = np.eye(n_j)
-        phi_out, j_out = [phi], [tan[:, :, :n_j]]
+        jac = np.broadcast_to(np.eye(n), (B, n, n)).copy()
+        phi_out, j_out = [phi], [jac]
 
-        def stage(state, t_state, q):       # slopes of phi and tangent
-            v, hd = vf.v(state), hdot[:, q]
-            k = vf.v0(state) + np.einsum("bad,bd->ba", v, hd)
-            if t_state.size == 0:           # no derivative requested
-                return k, t_state
+        def stage(state, j_state, q):       # slopes of phi and J
+            hd = hdot[:, q]
+            k = vf.v0(state) + np.einsum("bad,bd->ba", vf.v(state), hd)
             a = vf.dv0(state) + np.einsum("badj,bj->bad", vf.dv(state), hd)
-            dt = np.einsum("bac,bce->bae", a, t_state)
-            if n_c:
-                dt[:, :, n_j:] += np.einsum("bak,m->bamk", v, self.basis_dot[
-                    :, q]).reshape(B, n, n_c)
-            return k, dt
+            return k, np.einsum("bac,bce->bae", a, j_state)
 
         for i, h in enumerate(np.diff(self.fine_nodes)):
-            k1, m1 = stage(phi, tan, 2 * i)
-            k2, m2 = stage(phi + 0.5 * h * k1, tan + 0.5 * h * m1, 2 * i + 1)
-            k3, m3 = stage(phi + 0.5 * h * k2, tan + 0.5 * h * m2, 2 * i + 1)
-            k4, m4 = stage(phi + h * k3, tan + h * m3, 2 * i + 2)
-            tan = tan + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
+            k1, m1 = stage(phi, jac, 2 * i)
+            k2, m2 = stage(phi + 0.5 * h * k1, jac + 0.5 * h * m1, 2 * i + 1)
+            k3, m3 = stage(phi + 0.5 * h * k2, jac + 0.5 * h * m2, 2 * i + 1)
+            k4, m4 = stage(phi + h * k3, jac + h * m3, 2 * i + 2)
+            jac = jac + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
             phi = phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if np.abs(phi).max() > BLOW_UP_GUARD:
                 raise BlowUpError("skeleton escaped the guard radius",
                                   last_valid_step=i)
             if (i + 1) % REFINE_FACTOR == 0:
                 phi_out.append(phi)
-                j_out.append(tan[:, :, :n_j])
-
-        out = [np.stack(phi_out, axis=1)]
-        if with_jacobian:
-            out.append(np.stack(j_out, axis=1))
-        if with_tangent:
-            out.append(tan[:, :, n_j:].reshape(B, n, m, d))
-        return out[0] if len(out) == 1 else tuple(out)
-
-    def terminal(self, coeffs: np.ndarray, z0) -> np.ndarray:
-        """Phi_T for a coefficient batch, shape (B, n)."""
-        return self.propagate(coeffs, z0)[:, -1]
+                j_out.append(jac)
+        return np.stack(phi_out, axis=1), np.stack(j_out, axis=1)
 
 
 def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0,
@@ -273,6 +251,6 @@ def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0,
     """Skeleton flow phi (as Z, at unit driver scale) and its Jacobian for
     one Cameron-Martin element."""
     prop = SkeletonPropagator(h.kernel, vf, grid, h.nodes)
-    phi, jac = prop.propagate(h.coeffs[None], z0, with_jacobian=True)
+    phi, jac = prop.propagate(h.coeffs[None], z0)
     return FlowState(grid=grid, Z=phi[0], J=jac[0], z0=_as_state(z0, vf.n),
                      eps=1.0)

@@ -196,12 +196,12 @@ def _vf_from(config: dict):
 
 
 def _z0_from(config: dict, vf) -> list[float]:
-    z0 = config.get("z0")
-    if z0 is None:
-        return [0.0] * vf.n
-    if len(z0) != vf.n:
-        raise ConfigError("z0 dimension does not match the vector field")
-    return z0
+    return config.get("z0", [0.0] * vf.n)
+
+
+def _targets_from(config: dict) -> list[list[float]]:
+    return [[y] if isinstance(y, (int, float)) else list(y)
+            for y in config.get("y_targets") or []]
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +311,12 @@ def _exp_tails(config, kernel, grid, vf, out_dir, workers, gate):
 
 def _exp_varadhan(config, kernel, grid, vf, out_dir, workers, gate):
     z0 = _z0_from(config, vf)
-    y_targets = config.get("y_targets")
-    if not y_targets:
+    targets = _targets_from(config)
+    if not targets:
         raise ConfigError("varadhan experiment needs y_targets")
     eps_list = config.get("eps_list", [0.5, 0.35, 0.25])
     gap_max = config.get("thresholds", {}).get("varadhan_gap", 0.1)
     seed, tol = config.get("seed", 0), config.get("tol", 1e-6)
-    targets = [[y] if isinstance(y, (int, float)) else list(y)
-               for y in y_targets]
-    if any(len(y_vec) != vf.n for y_vec in targets):
-        raise ConfigError("a y target's dimension does not match the "
-                          "vector field")
     rows, results, criteria = [], [], []
     for y_vec in targets:
         rate, sweep = varadhan_check(
@@ -426,6 +421,11 @@ def run(config: dict, out_dir: str, workers: int = 1) -> int:
     grid = _grid_from(config, kernel)
     experiment = config["experiment"]
     vf = _vf_from(config) if experiment in FIELD_EXPERIMENTS else None
+    if vf is not None and len(_z0_from(config, vf)) != vf.n:
+        raise ConfigError("z0 dimension does not match the vector field")
+    if vf is not None and any(len(y) != vf.n for y in _targets_from(config)):
+        raise ConfigError("a y target's dimension does not match the "
+                          "vector field")
 
     t = config.get("t")
     if t is not None:

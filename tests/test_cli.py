@@ -355,14 +355,15 @@ def test_t_off_the_grid_exits_2(tmp_path, capsys, experiment, t):
      False),
     ({"kernel": {"family": "fbm"}}, "kernel: KeyError", False),
     ({"experiment": "varadhan", "y_targets": [[0.5, 0.5]]}, "dimension",
-     True),
+     False),
+    ({"z0": [0, 0]}, "z0 dimension", False),
 ], ids=["unknown-field", "unknown-field-param", "fbm-H-out-of-range",
-        "fbm-without-H", "target-dimension"])
+        "fbm-without-H", "target-dimension", "z0-dimension"])
 def test_malformed_spec_exits_2(tmp_path, capsys, monkeypatch, edit, why,
                                 gate_runs):
-    """A kernel or field spec that cannot be built is a config error found
-    before the hypothesis gate runs; a target of the wrong dimension is one
-    found before any rate solve or chunk."""
+    """A kernel or field spec that cannot be built, or a z0 or target of
+    the wrong dimension, is a config error found before the hypothesis gate
+    runs."""
     real_gate, gates = roughdensity.runner.check_hypotheses, []
 
     def gate(*args):
@@ -524,9 +525,9 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     # importing the command line loads no process or thread pool module;
     # the import, a gated audit run and small gated tails and varadhan runs
     # load no jsonschema, importlib.metadata or numpy.ma; a hypotheses run
-    # loads no numpy.ma either; with it and a rate-function solve (a
-    # SkeletonPropagator) added, still no scipy module is loaded; the fOU
-    # kernel's quadrature loads scipy
+    # loads no numpy.ma either; with it and a rate-function solve (the
+    # scheme's flow and its broadcast tangent) added, still no scipy module
+    # is loaded; the fOU kernel's quadrature loads scipy
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(HYP_OK),
          str(tmp_path / "out"), json.dumps(AUDIT_SMALL),
@@ -716,8 +717,14 @@ def rate_function(y, *args, **kwargs):
         raise TargetUnreachableError(f"y={y}: pinned rate failure")
     return real(y, *args, **kwargs)
 
-def solve_batch(*args, **kwargs):
-    raise BlowUpError("pinned chunk blow-up", last_valid_step=3)
+real_solve = dens.solve_batch
+
+def solve_batch(*args, with_jacobian=True, **kwargs):
+    # the chunks solve without the Jacobian; the rate solves, which need
+    # it, run as they are
+    if not with_jacobian:
+        raise BlowUpError("pinned chunk blow-up", last_valid_step=3)
+    return real_solve(*args, with_jacobian=with_jacobian, **kwargs)
 
 dens.rate_function = rate_function
 if sys.argv[3] == "1":

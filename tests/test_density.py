@@ -36,7 +36,8 @@ from roughdensity.malliavin import deterministic_malliavin_matrix
 from roughdensity.paths import CMElement
 
 from _kde_oracle import all_pairs_kde
-from _rate_oracle import penalty_rate_function
+from _rate_oracle import (penalty_rate_function, scheme_terminal,
+                          skeleton_terminal)
 
 
 def gaussian_density(y, mean, var):
@@ -249,15 +250,40 @@ def test_rate_function_unreachable_target():
 
 
 def test_rate_function_matches_penalty_oracle():
+    # the oracle minimizes over the same constraint map, the scheme
     kernel, vf = FractionalBrownian(0.4), bounded_nonlinear_field()
-    want = penalty_rate_function([1.0], kernel, vf, [0.0], m_nodes=4,
-                                 n_starts=1, seed=0)
+    want = penalty_rate_function([1.0], kernel, vf, [0.0], scheme_terminal,
+                                 m_nodes=4, n_starts=1, seed=0)
     assert want is not None
     res = rate_function([1.0], kernel, vf, [0.0], m_nodes=4, n_starts=1,
                         seed=0)
     assert res.d2 == pytest.approx(want[0], abs=1e-6)
     assert res.residual <= 1e-12
     assert res.accepted
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_scheme_rate_converges_to_closed_form(n):
+    # geometric Brownian target e^c: d2 = c^2 / 2 in the continuum, and the
+    # scheme's rate approaches it as n^-2
+    c = 0.8
+    res = rate_function([math.exp(c)], brownian(), scalar_linear_field(1.0),
+                        [1.0], grid=TimeGrid.regular(n), seed=31,
+                        elliptic_gate=False)
+    assert abs(res.d2 - c * c / 2) <= 0.1 / n ** 2
+
+
+def test_scheme_rate_matches_skeleton_oracle():
+    # the RK4 skeleton's rate, by the penalty oracle, is the continuum
+    # limit the scheme's rate approaches as n^-2
+    kernel, vf, n = FractionalBrownian(0.4), bounded_nonlinear_field(), 64
+    want = penalty_rate_function([1.0], kernel, vf, [0.0], skeleton_terminal,
+                                 grid=TimeGrid.regular(n), m_nodes=4,
+                                 n_starts=1, seed=0)
+    assert want is not None
+    res = rate_function([1.0], kernel, vf, [0.0], grid=TimeGrid.regular(n),
+                        m_nodes=4, n_starts=1, seed=0)
+    assert abs(res.d2 - want[0]) <= 0.1 / n ** 2
 
 
 def test_rate_function_reports_iterations():

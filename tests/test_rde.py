@@ -11,6 +11,7 @@ from roughdensity.fields import (
     rotation_mix_field,
     scalar_linear_field,
 )
+from roughdensity.density import _scheme_linearization
 from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
 from roughdensity.lift import lift, lift_ensemble, refine_linear
 from roughdensity.paths import CMElement, cm_eval, sample
@@ -269,47 +270,44 @@ def test_skeleton_propagator_batches_match_single():
     prop = SkeletonPropagator(k, vf, grid, nodes)
     rng = np.random.default_rng(19)
     coeffs = rng.standard_normal((5, 8))
-    batch = prop.terminal(coeffs, z0=[0.1])
+    phi, jac = prop.propagate(coeffs, z0=[0.1])
     for b in range(5):
         h = CMElement(k, nodes, coeffs[b])
         flow = solve_skeleton(h, vf, z0=[0.1], grid=grid)
-        assert batch[b, 0] == pytest.approx(flow.Z[-1, 0], rel=1e-12)
+        assert phi[b, -1, 0] == pytest.approx(flow.Z[-1, 0], rel=1e-12)
+        np.testing.assert_allclose(jac[b], flow.J, rtol=1e-12)
 
 
 @pytest.mark.parametrize("vf, z0", [
     (rotation_mix_field(), [0.2, -0.1]),
     (bounded_nonlinear_field(), [0.1]),
 ], ids=["rotation_mix", "bounded_nonlinear"])
-def test_skeleton_tangent_matches_finite_difference(vf, z0):
-    grid = TimeGrid.regular(32)
-    nodes = np.linspace(1 / 4, 1.0, 4)
-    prop = SkeletonPropagator(FractionalBrownian(0.4), vf, grid, nodes)
-    coeffs = 0.7 * np.random.default_rng(23).standard_normal((2, 4, vf.d))
-    phi, tangent = prop.propagate(coeffs, z0, with_tangent=True)
-    np.testing.assert_array_equal(phi, prop.propagate(coeffs, z0))
+def test_scheme_tangent_matches_finite_difference(vf, z0):
+    """The rate function's tangent dZ_N/dc, one `directional_derivative`
+    call broadcast over the basis directions R(s_i, .) e_k, against central
+    differences of `solve_batch`'s terminal map."""
+    grid = TimeGrid.regular(64)
+    m, d = 8, vf.d
+    nodes = np.linspace(1 / m, 1.0, m)
+    traces = FractionalBrownian(0.4).eval(nodes[:, None], grid.nodes[None, :])
+    shifts = np.einsum("it,kl->iktl", traces, np.eye(d)).reshape(
+        m * d, grid.n_steps + 1, d)
+    coeffs = 0.7 * np.random.default_rng(23).standard_normal((3, m * d))
+    z, _, tangent = _scheme_linearization(coeffs, shifts, grid, vf, z0)
+    assert tangent.shape == (3, vf.n, m * d)
+
+    def terminal(cs):
+        level1 = np.einsum("bc,ctd->btd", cs, np.diff(shifts, axis=1))
+        return solve_batch(level1, grid, vf, z0, with_jacobian=False).Z[:, -1]
+
+    np.testing.assert_array_equal(z[:, -1], terminal(coeffs))
     step = 1e-5
-    for i in range(4):
-        for k in range(vf.d):
-            bump = np.zeros_like(coeffs)
-            bump[:, i, k] = step
-            fd = (prop.terminal(coeffs + bump, z0)
-                  - prop.terminal(coeffs - bump, z0)) / (2 * step)
-            np.testing.assert_allclose(tangent[:, :, i, k], fd, rtol=1e-6,
-                                       atol=1e-6 * np.abs(fd).max())
-
-
-def test_skeleton_tangent_leaves_jacobian_unchanged():
-    k = FractionalBrownian(0.4)
-    grid = TimeGrid.regular(32)
-    vf = rotation_mix_field()
-    nodes = np.linspace(1 / 4, 1.0, 4)
-    prop = SkeletonPropagator(k, vf, grid, nodes)
-    coeffs = np.random.default_rng(29).standard_normal((3, 4, 2))
-    phi, jac = prop.propagate(coeffs, [0.3, 0.0], with_jacobian=True)
-    phi2, jac2, _ = prop.propagate(coeffs, [0.3, 0.0], with_jacobian=True,
-                                   with_tangent=True)
-    np.testing.assert_array_equal(phi, phi2)
-    np.testing.assert_allclose(jac2, jac, rtol=1e-13, atol=1e-15)
+    for j in range(m * d):
+        bump = np.zeros_like(coeffs)
+        bump[:, j] = step
+        fd = (terminal(coeffs + bump) - terminal(coeffs - bump)) / (2 * step)
+        np.testing.assert_allclose(tangent[:, :, j], fd, rtol=1e-6,
+                                   atol=1e-6 * np.abs(fd).max())
 
 
 def spline_grids():
