@@ -5,26 +5,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
+from .density import ENV_WORKERS
 from .fields import FIELD_CATALOG
 from .runner import EXIT_CONFIG, ConfigError, run, summarize
-
-ENV_WORKERS = "ROUGHDENSITY_WORKERS"
-
-
-def _worker_count(flag_value) -> int:
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"{ENV_WORKERS} must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
 
 
 def main(argv=None) -> int:
@@ -56,7 +41,7 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
         try:
-            code = run(config, args.out, workers=_worker_count(args.workers))
+            code = run(config, args.out, workers=args.workers)
         except ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG

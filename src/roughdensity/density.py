@@ -4,9 +4,10 @@ program: rate-function minimization and the vanishing-noise sweep.
 All Monte Carlo flows through counter-based per-path streams, so a chunk
 of paths draws the same numbers in whichever process runs it, and results
 are identical for any chunking/worker layout; reductions run in fixed
-chunk order.  With more than one worker, the chunks of
-`monte_carlo_reduce` run in forked worker processes (serially where the
-platform cannot fork).  A chunk enters the flow solver as its level-1
+chunk order.  `worker_count` is the one rule for how many workers a call
+gets; with more than one, the chunks of `monte_carlo_reduce` and
+`first_variation_samples` run in forked worker processes (serially where
+the platform cannot fork).  A chunk enters the flow solver as its level-1
 increments (`lift_ensemble`), written once time-major so that every eps
 reads them without a copy; the solver forms each step's level 2 itself.
 `varadhan_check` solves the rate function d^2(y) in this process while the
@@ -16,6 +17,7 @@ chunks of its sweep run in the workers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ from .rde import (BlowUpError, CoarseGridError, FlowState, solve_batch,
                   solve_skeleton)
 
 CHUNK_PATHS = 16384
+ENV_WORKERS = "ROUGHDENSITY_WORKERS"
 # Half-width, in bandwidths of coordinate 0, of the sample window that
 # `kde_evaluate` sums over each point.
 KDE_WINDOW = 9.0
@@ -56,12 +59,27 @@ def _chunk_ranges(n_paths: int):
             for off in range(0, n_paths, CHUNK_PATHS)]
 
 
-def _map_chunks(run_chunk, ranges, workers: int, meanwhile=None) -> list:
+def worker_count(workers=None) -> int:
+    """``workers`` if given, else ``ROUGHDENSITY_WORKERS`` (an empty value
+    counts as unset), else the CPU count; at least 1."""
+    if workers is None:
+        env = os.environ.get(ENV_WORKERS)
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_WORKERS} must be an integer, "
+                             f"got {env!r}") from None
+    return max(1, int(workers))
+
+
+def _map_chunks(run_chunk, ranges, workers, meanwhile=None) -> list:
     """``run_chunk`` over ``ranges``, results in chunk order; ``meanwhile``
     (if given) is called in this process before the results are collected.
 
-    With more than one worker and chunk, the chunks run in
-    ``min(workers, len(ranges))`` forked processes, which inherit
+    With more than one worker (by `worker_count`) and chunk, the chunks
+    run in ``min(workers, len(ranges))`` forked processes, which inherit
     ``run_chunk`` rather than unpickle it (the fields' callables cannot be
     pickled), and ``meanwhile`` runs while they do.  They run in this
     process instead, after ``meanwhile``, where the platform cannot fork,
@@ -70,7 +88,7 @@ def _map_chunks(run_chunk, ranges, workers: int, meanwhile=None) -> list:
     unread), then the first failing chunk in order raises its error, and
     every worker is joined before this returns or raises.
     """
-    workers = min(workers, len(ranges))
+    workers = min(worker_count(workers), len(ranges))
     if workers > 1:
         import multiprocessing
         import threading
@@ -141,7 +159,7 @@ def _map_forked(ctx, run_chunk, ranges, workers: int,
 def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                        vf: VectorFieldSystem, z0, eps_list, n_paths: int,
                        seed: int, collect: str = "terminal",
-                       t_node=None, workers: int = 1,
+                       t_node=None, workers: int | None = None,
                        meanwhile=None) -> list[np.ndarray]:
     """Sample, lift and solve in fixed chunks; returns one array per eps.
 
@@ -151,7 +169,9 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
     ``meanwhile``, a function of no arguments, is called in this process
     once the chunks have started and before they are collected, so with
     forked workers it runs while they do; if it raises, the chunks are
-    ended unread and its error propagates.
+    ended unread and its error propagates.  ``workers`` is resolved by
+    `worker_count` (None: ``ROUGHDENSITY_WORKERS``, else the CPU count);
+    1 runs every chunk in this process.
     """
     if collect not in ("terminal", "running_sup"):
         raise ValueError(f"unknown collector {collect!r}")
@@ -275,8 +295,9 @@ def estimate_density(kernel: CovKernel, vf: VectorFieldSystem, z0, t: float,
                      y_grid: np.ndarray | None = None,
                      bandwidth: np.ndarray | None = None,
                      grid: TimeGrid | None = None,
-                     workers: int = 1) -> DensityEstimate:
-    """Gaussian-kernel density estimate of the flow state at time t."""
+                     workers: int | None = None) -> DensityEstimate:
+    """Gaussian-kernel density estimate of the flow state at time t;
+    ``workers`` as in `monte_carlo_reduce`."""
     if bandwidth is not None and np.any(np.asarray(bandwidth) <= 0):
         raise ValueError("bandwidth must be positive")
     if grid is None:
@@ -368,10 +389,12 @@ class TailProbabilityReport:
 def tail_probability_check(kernel: CovKernel, vf: VectorFieldSystem, z0,
                            tau: float, eps: float, n_paths: int, seed: int,
                            levels, grid: TimeGrid | None = None,
-                           workers: int = 1) -> TailProbabilityReport:
+                           workers: int | None = None
+                           ) -> TailProbabilityReport:
     """Empirical exceedance of the running sup |Z - z0| against levels,
     fitted on the transformed axis level^(1 + 1/rho) / kappa_tau^2; levels
-    at or below the sample median are excluded from the fit window."""
+    at or below the sample median are excluded from the fit window;
+    ``workers`` as in `monte_carlo_reduce`."""
     if grid is None:
         grid = TimeGrid.regular(256, horizon=kernel.horizon)
     (sups,) = monte_carlo_reduce(kernel, grid, vf, z0, [eps], n_paths, seed,
@@ -585,11 +608,12 @@ def _extrapolate_eps(eps: np.ndarray, vals: np.ndarray) -> float:
 def varadhan_sweep(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                    eps_list, n_paths: int, seed: int, d2: float,
                    grid: TimeGrid | None = None,
-                   workers: int = 1) -> VaradhanSweep:
+                   workers: int | None = None) -> VaradhanSweep:
     """eps^2 log p_eps(y) at the grid horizon along an eps list, with the
     shared driver realization, the trust floor n p_hat bandwidth >=
     ``TRUST_FLOOR``, and three-point extrapolation to eps = 0 on the
-    trusted tail; ``d2`` is the rate d^2(y) the limit is compared with."""
+    trusted tail; ``d2`` is the rate d^2(y) the limit is compared with;
+    ``workers`` as in `monte_carlo_reduce`."""
     if grid is None:
         grid = TimeGrid.regular(256, horizon=kernel.horizon)
     eps_arr = list(eps_list)
@@ -600,7 +624,7 @@ def varadhan_sweep(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
 
 def varadhan_check(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                    eps_list, n_paths: int, seed: int,
-                   grid: TimeGrid | None = None, workers: int = 1,
+                   grid: TimeGrid | None = None, workers: int | None = None,
                    m_nodes: int = 16, tol: float = 1e-6, n_starts: int = 5
                    ) -> tuple[RateFunctionResult, VaradhanSweep]:
     """The small-noise program at one target y: ``(rate, sweep)`` with
@@ -609,9 +633,9 @@ def varadhan_check(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     both on ``grid``: d^2(y) is the rate of the scheme the sweep samples.
 
     d^2(y) is solved in this process while the sweep's chunks run (in
-    forked workers when ``workers`` > 1).  A rate failure ends the chunks
-    unread, so a failing run raises what the serial order rate, then
-    sweep, meets first.
+    forked workers when ``workers``, as in `monte_carlo_reduce`, comes to
+    more than 1).  A rate failure ends the chunks unread, so a failing run
+    raises what the serial order rate, then sweep, meets first.
     """
     if grid is None:
         grid = TimeGrid.regular(256, horizon=kernel.horizon)
@@ -666,17 +690,21 @@ def first_variation_samples(h: CMElement, kernel: CovKernel,
                             n_paths: int, seed: int) -> np.ndarray:
     """Samples of the Gaussian first variation
     G_1(h) = J_1(h) sum_i J_{u_i}(h)^{-1} V(Phi_{u_i}(h)) dX_i,
-    shape (n_paths, n); mean 0 and covariance the deterministic matrix."""
+    shape (n_paths, n); mean 0 and covariance the deterministic matrix.
+    The chunks run on ``worker_count()`` workers."""
     w = derivative_kernel(solve_skeleton(h, vf, z0, grid), vf,
                           grid.n_steps)[:-1]
-    out = np.empty((n_paths, vf.n))
     chol = cholesky_factor(kernel, grid)
-    for off, size in _chunk_ranges(n_paths):
+
+    def run_chunk(off_size):
+        off, size = off_size
         ens = sample(kernel, grid, d=vf.d, n_paths=size, seed=seed,
                      path_offset=off, chol=chol)
         # a strided view of the differences, not lift_ensemble's
         # time-major buffer: einsum's summation order, and so the last
         # bits, follow the operand's strides
-        out[off: off + size] = np.einsum(
-            "sad,psd->pa", w, np.diff(ens.data, axis=2).transpose(0, 2, 1))
-    return out
+        return np.einsum("sad,psd->pa", w,
+                         np.diff(ens.data, axis=2).transpose(0, 2, 1))
+
+    return np.concatenate(
+        _map_chunks(run_chunk, _chunk_ranges(n_paths), None), axis=0)

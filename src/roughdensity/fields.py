@@ -133,15 +133,11 @@ def rotation_mix_field(amp: float = 0.1) -> VectorFieldSystem:
     if not 0 <= amp < 0.4:
         raise ValueError("amp must stay well below ellipticity loss")
 
-    def parts(x):
-        x1, x2 = x[..., 0], x[..., 1]
-        return x1, x2
-
     def v0(x):
         return np.zeros(x.shape)
 
     def v(x):
-        x1, x2 = parts(x)
+        x1, x2 = x[..., 0], x[..., 1]
         out = np.zeros(x.shape[:-1] + (2, 2))
         out[..., 0, 0] = 1 + amp * np.sin(x1 + x2)
         out[..., 0, 1] = amp * np.cos(x1)
@@ -150,35 +146,30 @@ def rotation_mix_field(amp: float = 0.1) -> VectorFieldSystem:
         return out
 
     def dv(x):
-        x1, x2 = parts(x)
+        x1, x2 = x[..., 0], x[..., 1]
         out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        sm = amp * np.sin(x1 - x2)
         # component (a, b, j) = d V_j^a / d x^b
-        out[..., 0, 0, 0] = amp * np.cos(x1 + x2)
-        out[..., 0, 1, 0] = amp * np.cos(x1 + x2)
+        out[..., 0, 0, 0] = out[..., 0, 1, 0] = amp * np.cos(x1 + x2)
         out[..., 0, 0, 1] = -amp * np.sin(x1)
         out[..., 1, 1, 0] = amp * np.cos(x2)
-        out[..., 1, 0, 1] = -amp * np.sin(x1 - x2)
-        out[..., 1, 1, 1] = amp * np.sin(x1 - x2)
+        out[..., 1, 0, 1] = -sm
+        out[..., 1, 1, 1] = sm
         return out
 
     def d2v(x):
-        x1, x2 = parts(x)
+        x1, x2 = x[..., 0], x[..., 1]
         out = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
-        s12, c1 = np.sin(x1 + x2), np.cos(x1)
-        s2, cm = np.sin(x2), np.cos(x1 - x2)
+        cm = amp * np.cos(x1 - x2)
         # V_0^0 = 1 + amp sin(x1+x2)
-        for b in (0, 1):
-            for c in (0, 1):
-                out[..., 0, b, c, 0] = -amp * s12
+        out[..., 0, :, :, 0] = (-amp * np.sin(x1 + x2))[..., None, None]
         # V_1^0 = amp cos(x1)
-        out[..., 0, 0, 0, 1] = -amp * c1
+        out[..., 0, 0, 0, 1] = -amp * np.cos(x1)
         # V_0^1 = amp sin(x2)
-        out[..., 1, 1, 1, 0] = -amp * s2
+        out[..., 1, 1, 1, 0] = -amp * np.sin(x2)
         # V_1^1 = 1 + amp cos(x1-x2)
-        out[..., 1, 0, 0, 1] = -amp * cm
-        out[..., 1, 1, 1, 1] = -amp * cm
-        out[..., 1, 0, 1, 1] = amp * cm
-        out[..., 1, 1, 0, 1] = amp * cm
+        out[..., 1, 0, 0, 1] = out[..., 1, 1, 1, 1] = -cm
+        out[..., 1, 0, 1, 1] = out[..., 1, 1, 0, 1] = cm
         return out
 
     return VectorFieldSystem(

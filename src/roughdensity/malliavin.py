@@ -53,10 +53,11 @@ def derivative_kernel(flow: FlowState, vf: VectorFieldSystem,
     if flow.J is None:
         raise ValueError("flow was solved without the Jacobian")
     idx = _t_index(flow.grid, t_node)
-    return flow.eps * np.einsum("...ab,...sbc,...scd->...sad",
-                                flow.J[..., idx, :, :],
-                                np.linalg.inv(flow.J[..., : idx + 1, :, :]),
-                                vf.v(flow.Z[..., : idx + 1, :]))
+    # grouped (J_t J_s^-1) V, so a scalar flow (n = d = 1) rounds as the
+    # left-to-right product
+    return flow.eps * ((flow.J[..., idx, None, :, :]
+                        @ np.linalg.inv(flow.J[..., : idx + 1, :, :]))
+                       @ vf.v(flow.Z[..., : idx + 1, :]))
 
 
 def directional_derivative(flow: FlowState, vf: VectorFieldSystem,

@@ -36,6 +36,7 @@ from .density import (
     tail_fit,
     tail_probability_check,
     varadhan_check,
+    worker_count,
 )
 from .fields import NonEllipticError, field_from_spec
 from .kernels import CovKernel, TimeGrid, kernel_from_spec
@@ -411,9 +412,11 @@ _EXPERIMENTS = {
 }
 
 
-def run(config: dict, out_dir: str, workers: int = 1) -> int:
+def run(config: dict, out_dir: str, workers: int | None = None) -> int:
     """Execute one experiment; writes report.json, CSVs and manifest.json;
-    returns the exit code."""
+    returns the exit code.  ``workers`` is resolved by `worker_count`
+    (None: ``ROUGHDENSITY_WORKERS``, else the CPU count)."""
+    workers = _from_spec("workers", worker_count, workers)
     validate_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -439,6 +440,43 @@ def test_monte_carlo_reduce_chunking_invariant(monkeypatch):
             assert np.array_equal(reduce(1000, workers, collect), want)
             assert multiprocessing.active_children() == []
     assert forked == [2, 3, 2, 3]
+
+
+def test_first_variation_samples_fork_on_the_worker_rule(monkeypatch):
+    """Five 1,000-path chunks fork on ROUGHDENSITY_WORKERS=2 and run here
+    on 1, with the same numbers either way."""
+    forked, map_forked = [], dens._map_forked
+
+    def counted(ctx, run_chunk, ranges, workers, *rest):
+        forked.append(workers)
+        return map_forked(ctx, run_chunk, ranges, workers, *rest)
+
+    monkeypatch.setattr(dens, "_map_forked", counted)
+    monkeypatch.setattr(dens, "CHUNK_PATHS", 1000)
+    k = FractionalBrownian(0.4)
+    h = CMElement(k, [0.4, 0.9], [0.7, -0.3])
+    outs = []
+    for env in ("1", "2"):
+        monkeypatch.setenv("ROUGHDENSITY_WORKERS", env)
+        outs.append(first_variation_samples(
+            h, k, bounded_nonlinear_field(), [0.1], TimeGrid.regular(32),
+            n_paths=5000, seed=31))
+        assert forked == ([] if env == "1" else [2])
+        assert multiprocessing.active_children() == []
+    assert outs[0].shape == (5000, 1)
+    assert np.array_equal(outs[0], outs[1])
+
+
+def test_worker_count_rule(monkeypatch):
+    monkeypatch.setenv("ROUGHDENSITY_WORKERS", "3")
+    assert dens.worker_count(0) == 1
+    assert dens.worker_count(2) == 2
+    assert dens.worker_count() == 3
+    monkeypatch.setenv("ROUGHDENSITY_WORKERS", "")
+    assert dens.worker_count() == max(1, os.cpu_count() or 1)
+    monkeypatch.setenv("ROUGHDENSITY_WORKERS", "two")
+    with pytest.raises(ValueError, match="ROUGHDENSITY_WORKERS"):
+        dens.worker_count()
 
 
 def test_unknown_collector_fails_before_any_chunk(monkeypatch):
