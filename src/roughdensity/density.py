@@ -55,6 +55,8 @@ class TargetUnreachableError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _chunk_ranges(n_paths: int):
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     return [(off, min(CHUNK_PATHS, n_paths - off))
             for off in range(0, n_paths, CHUNK_PATHS)]
 
@@ -175,6 +177,7 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
     """
     if collect not in ("terminal", "running_sup"):
         raise ValueError(f"unknown collector {collect!r}")
+    ranges = _chunk_ranges(n_paths)
     idx = grid.n_steps if t_node is None else grid.index_of(float(t_node))
     chol = cholesky_factor(kernel, grid)
     z0_arr = np.atleast_1d(np.asarray(z0, dtype=float))
@@ -198,8 +201,7 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                 outs.append(dev.max(axis=1))
         return outs
 
-    results = _map_chunks(run_chunk, _chunk_ranges(n_paths), workers,
-                          meanwhile)
+    results = _map_chunks(run_chunk, ranges, workers, meanwhile)
     return [np.concatenate([r[i] for r in results], axis=0)
             for i in range(len(eps_list))]
 
@@ -458,7 +460,7 @@ def _scheme_linearization(cs: np.ndarray, shifts: np.ndarray,
     level1 = np.einsum("bc,ctd->btd", cs, np.diff(shifts, axis=1))
     flow = solve_batch(level1, grid, vf, z0)
     along = FlowState(grid=grid, Z=flow.Z[:, None], J=flow.J[:, None],
-                      z0=flow.z0, eps=1.0)
+                      eps=1.0)
     tangent = directional_derivative(along, vf, level1[:, None], shifts,
                                      grid.n_steps)
     return flow.Z, flow.J, np.swapaxes(tangent, 1, 2)
@@ -560,8 +562,7 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     s_idx = min(converged, key=lambda s: (energy[s], s))
     h_opt = CMElement(kernel, nodes, c[s_idx].reshape(m, d))
     # the winner's last linearization already carries its flow
-    flow = FlowState(grid=grid, Z=phi[s_idx], J=jac[s_idx],
-                     z0=phi[s_idx, 0], eps=1.0)
+    flow = FlowState(grid=grid, Z=phi[s_idx], J=jac[s_idx], eps=1.0)
     gamma = malliavin_matrix(flow, vf, kernel, grid.n_steps)
     return RateFunctionResult(
         y=y_arr, d2=float(energy[s_idx]), h_opt=h_opt,
@@ -692,6 +693,7 @@ def first_variation_samples(h: CMElement, kernel: CovKernel,
     G_1(h) = J_1(h) sum_i J_{u_i}(h)^{-1} V(Phi_{u_i}(h)) dX_i,
     shape (n_paths, n); mean 0 and covariance the deterministic matrix.
     The chunks run on ``worker_count()`` workers."""
+    ranges = _chunk_ranges(n_paths)
     w = derivative_kernel(solve_skeleton(h, vf, z0, grid), vf,
                           grid.n_steps)[:-1]
     chol = cholesky_factor(kernel, grid)
@@ -706,5 +708,4 @@ def first_variation_samples(h: CMElement, kernel: CovKernel,
         return np.einsum("sad,psd->pa", w,
                          np.diff(ens.data, axis=2).transpose(0, 2, 1))
 
-    return np.concatenate(
-        _map_chunks(run_chunk, _chunk_ranges(n_paths), None), axis=0)
+    return np.concatenate(_map_chunks(run_chunk, ranges, None), axis=0)

@@ -34,7 +34,6 @@ class VectorFieldSystem:
     d2v0: Callable
     d2v: Callable
     elliptic_lambda: float | None = None
-    params: dict | None = None
 
     def __repr__(self):
         return f"VectorFieldSystem({self.name}, n={self.n}, d={self.d})"
@@ -56,8 +55,7 @@ def identity_field(n: int = 1) -> VectorFieldSystem:
         dv=lambda x: _zeros_like_shape(x, n, n, n),
         d2v0=lambda x: _zeros_like_shape(x, n, n, n),
         d2v=lambda x: _zeros_like_shape(x, n, n, n, n),
-        elliptic_lambda=1.0,
-        params={"n": n})
+        elliptic_lambda=1.0)
 
 
 def scalar_linear_field(sigma: float = 1.0) -> VectorFieldSystem:
@@ -70,8 +68,7 @@ def scalar_linear_field(sigma: float = 1.0) -> VectorFieldSystem:
         dv=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)) + sigma,
         d2v0=lambda x: _zeros_like_shape(x, 1, 1, 1),
         d2v=lambda x: _zeros_like_shape(x, 1, 1, 1, 1),
-        elliptic_lambda=None,
-        params={"sigma": sigma})
+        elliptic_lambda=None)
 
 
 def linear_drift_field(rate: float = -1.0) -> VectorFieldSystem:
@@ -84,8 +81,7 @@ def linear_drift_field(rate: float = -1.0) -> VectorFieldSystem:
         dv=lambda x: _zeros_like_shape(x, 1, 1, 1),
         d2v0=lambda x: _zeros_like_shape(x, 1, 1, 1),
         d2v=lambda x: _zeros_like_shape(x, 1, 1, 1, 1),
-        elliptic_lambda=None,
-        params={"rate": rate})
+        elliptic_lambda=None)
 
 
 def bounded_nonlinear_field(a: float = 0.5, drift: float = -0.25
@@ -123,8 +119,7 @@ def bounded_nonlinear_field(a: float = 0.5, drift: float = -0.25
     return VectorFieldSystem(
         name="bounded_nonlinear", n=1, d=1,
         v0=v0, v=v, dv0=dv0, dv=dv, d2v0=d2v0, d2v=d2v,
-        elliptic_lambda=1.0,
-        params={"a": a, "drift": drift})
+        elliptic_lambda=1.0)
 
 
 def rotation_mix_field(amp: float = 0.1) -> VectorFieldSystem:
@@ -179,8 +174,7 @@ def rotation_mix_field(amp: float = 0.1) -> VectorFieldSystem:
         dv=dv,
         d2v0=lambda x: _zeros_like_shape(x, 2, 2, 2),
         d2v=d2v,
-        elliptic_lambda=None,
-        params={"amp": amp})
+        elliptic_lambda=None)
 
 
 def degenerate_diag_field() -> VectorFieldSystem:
@@ -195,8 +189,7 @@ def degenerate_diag_field() -> VectorFieldSystem:
         dv=lambda x: _zeros_like_shape(x, 2, 2, 2),
         d2v0=lambda x: _zeros_like_shape(x, 2, 2, 2),
         d2v=lambda x: _zeros_like_shape(x, 2, 2, 2, 2),
-        elliptic_lambda=0.0,
-        params={})
+        elliptic_lambda=0.0)
 
 
 FIELD_CATALOG: dict[str, Callable[..., VectorFieldSystem]] = {

@@ -1,5 +1,10 @@
 """Flow solvers: the rough differential equation with its Jacobian,
-and the smooth skeleton ODE driven by Cameron-Martin elements.
+and the skeleton ODE driven by a Cameron-Martin element h.
+
+Every flow reads its driver as piecewise-linear between the grid nodes:
+the RDE through the node increments, the skeleton through h's constant
+velocity on each cell, which RK4 integrates with ``REFINE_FACTOR``
+substeps.
 
 The RDE stepper is the one-step second-order (Davie) update in W-form:
 z <- z + W + (1/2) DW W with W = V0(z) dt + V(z) x^1, which is the Taylor
@@ -54,7 +59,6 @@ class FlowState:
     grid: TimeGrid
     Z: np.ndarray                 # (..., N+1, n)
     J: np.ndarray | None          # (..., N+1, n, n)
-    z0: np.ndarray
     eps: float
 
 
@@ -128,7 +132,7 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
                 "(step too coarse or field unbounded)", last_valid_step=i)
         Z[i + 1] = z
 
-    return FlowState(grid=grid, Z=Z.transpose(1, 0, 2), J=J, z0=z0, eps=eps)
+    return FlowState(grid=grid, Z=Z.transpose(1, 0, 2), J=J, eps=eps)
 
 
 def solve(values: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
@@ -139,79 +143,35 @@ def solve(values: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
     flow = solve_batch(np.diff(vals.reshape(len(vals), -1), axis=0)[None],
                        grid, vf, z0, eps=eps, with_jacobian=with_jacobian)
     return FlowState(grid=flow.grid, Z=flow.Z[0],
-                     J=None if flow.J is None else flow.J[0],
-                     z0=flow.z0, eps=eps)
+                     J=None if flow.J is None else flow.J[0], eps=eps)
 
 
 # ---------------------------------------------------------------------------
 # Skeleton ODE driven by Cameron-Martin elements
 # ---------------------------------------------------------------------------
 
-def _spline_derivative(x: np.ndarray, y: np.ndarray,
-                       t: np.ndarray) -> np.ndarray:
-    """Derivative at times ``t`` of the not-a-knot cubic spline through
-    each column of ``y`` (N+1, m) at nodes ``x``, shape (len(t), m).
-
-    The node slopes solve the spline's (N+1) x (N+1) tridiagonal system,
-    row for row the one scipy's ``CubicSpline`` solves; each interval is
-    then the cubic Hermite polynomial of its end values and slopes.
-    """
-    n = x.size
-    if n < 4:
-        raise ValueError("a not-a-knot spline needs at least four nodes")
-    dx = np.diff(x)
-    slope = np.diff(y, axis=0) / dx[:, None]
-    a = np.zeros((n, n))
-    b = np.empty(y.shape)
-    i = np.arange(1, n - 1)
-    a[i, i - 1] = dx[1:]
-    a[i, i] = 2 * (dx[:-1] + dx[1:])
-    a[i, i + 1] = dx[:-1]
-    b[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
-    # not-a-knot: the third derivative is continuous at x_1 and x_{N-1}
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    a[0, :2] = dx[1], d0
-    a[-1, -2:] = d1, dx[-2]
-    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-    b[-1] = (dx[-1] ** 2 * slope[-2]
-             + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    s = np.linalg.solve(a, b)
-    # interval k holds x_k <= t < x_{k+1}; the last node closes interval N-1
-    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
-    h, u = dx[k, None], (t - x[k])[:, None]
-    curv = (s[k] + s[k + 1] - 2 * slope[k]) / h
-    return (s[k] + ((slope[k] - s[k]) / h - curv) * u * 2
-            + curv / h * (u * u) * 3)
-
-
 class SkeletonPropagator:
     """Batched RK4 skeleton ODE for elements on fixed nodes.
 
-    Each basis trace R(s_m, .) is known at the grid nodes; its derivative
-    is that of the not-a-knot cubic spline through them (node slopes from
-    one linear solve, then the cubic Hermite derivative), taken at the RK4
-    stage times of the grid refined ``REFINE_FACTOR`` times.  The trace is
-    linear in the coefficients, so these derivatives are computed once and
-    reused for every evaluation.
+    The driver is h's piecewise-linear interpolation on the grid, the
+    driver of every other flow: on cell i the skeleton runs at the constant
+    velocity (h(t_{i+1}) - h(t_i)) / dt_i, with ``REFINE_FACTOR`` RK4
+    substeps.  h is linear in its coefficients, so its basis traces
+    R(s_m, .) on the grid are computed once and reused for every
+    evaluation.
     """
 
     def __init__(self, kernel, vf: VectorFieldSystem, grid: TimeGrid,
                  h_nodes: np.ndarray):
         self.vf = vf
+        self.dts = grid.dts
         # basis traces R(s_m, t) on the grid
         self.basis = np.atleast_2d(kernel.eval(
             np.asarray(h_nodes, dtype=float)[:, None], grid.nodes[None, :]))
-        fine = grid.refine(REFINE_FACTOR)
-        self.fine_nodes = fine.nodes
-        stage_times = np.empty(2 * fine.n_steps + 1)
-        stage_times[::2] = fine.nodes
-        stage_times[1::2] = 0.5 * (fine.nodes[:-1] + fine.nodes[1:])
-        self.basis_dot = _spline_derivative(grid.nodes, self.basis.T,
-                                            stage_times).T   # (m, 2*M+1)
 
     def propagate(self, coeffs: np.ndarray, z0):
-        """RK4 the skeleton for a coefficient batch (B, m, d): phi at base
-        nodes (B, N+1, n) and J = dphi/dz0 at base nodes (B, N+1, n, n), the
+        """RK4 the skeleton for a coefficient batch (B, m, d): phi at grid
+        nodes (B, N+1, n) and J = dphi/dz0 at grid nodes (B, N+1, n, n), the
         exact derivative of the discrete map from the variational recursion
         through the same RK4 stages."""
         coeffs = np.asarray(coeffs, dtype=float)
@@ -219,30 +179,31 @@ class SkeletonPropagator:
             coeffs = coeffs[:, :, None]
         B = coeffs.shape[0]
         vf, n = self.vf, self.vf.n
-        hdot = np.einsum("bmd,mq->bqd", coeffs, self.basis_dot)  # (B, Q, d)
+        hdot = (np.einsum("bmd,mi->bid", coeffs, np.diff(self.basis, axis=1))
+                / self.dts[:, None])                           # (B, N, d)
         phi = np.broadcast_to(_as_state(z0, n), (B, n)).copy()
         jac = np.broadcast_to(np.eye(n), (B, n, n)).copy()
         phi_out, j_out = [phi], [jac]
 
-        def stage(state, j_state, q):       # slopes of phi and J
-            hd = hdot[:, q]
+        def stage(state, j_state, hd):      # slopes of phi and J
             k = vf.v0(state) + np.einsum("bad,bd->ba", vf.v(state), hd)
             a = vf.dv0(state) + np.einsum("badj,bj->bad", vf.dv(state), hd)
             return k, np.einsum("bac,bce->bae", a, j_state)
 
-        for i, h in enumerate(np.diff(self.fine_nodes)):
-            k1, m1 = stage(phi, jac, 2 * i)
-            k2, m2 = stage(phi + 0.5 * h * k1, jac + 0.5 * h * m1, 2 * i + 1)
-            k3, m3 = stage(phi + 0.5 * h * k2, jac + 0.5 * h * m2, 2 * i + 1)
-            k4, m4 = stage(phi + h * k3, jac + h * m3, 2 * i + 2)
-            jac = jac + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
-            phi = phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if np.abs(phi).max() > BLOW_UP_GUARD:
-                raise BlowUpError("skeleton escaped the guard radius",
-                                  last_valid_step=i)
-            if (i + 1) % REFINE_FACTOR == 0:
-                phi_out.append(phi)
-                j_out.append(jac)
+        for i, dt in enumerate(self.dts):
+            hd, h = hdot[:, i], dt / REFINE_FACTOR
+            for _ in range(REFINE_FACTOR):
+                k1, m1 = stage(phi, jac, hd)
+                k2, m2 = stage(phi + 0.5 * h * k1, jac + 0.5 * h * m1, hd)
+                k3, m3 = stage(phi + 0.5 * h * k2, jac + 0.5 * h * m2, hd)
+                k4, m4 = stage(phi + h * k3, jac + h * m3, hd)
+                jac = jac + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
+                phi = phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                if np.abs(phi).max() > BLOW_UP_GUARD:
+                    raise BlowUpError("skeleton escaped the guard radius",
+                                      last_valid_step=i)
+            phi_out.append(phi)
+            j_out.append(jac)
         return np.stack(phi_out, axis=1), np.stack(j_out, axis=1)
 
 
@@ -252,5 +213,4 @@ def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0,
     one Cameron-Martin element."""
     prop = SkeletonPropagator(h.kernel, vf, grid, h.nodes)
     phi, jac = prop.propagate(h.coeffs[None], z0)
-    return FlowState(grid=grid, Z=phi[0], J=jac[0], z0=_as_state(z0, vf.n),
-                     eps=1.0)
+    return FlowState(grid=grid, Z=phi[0], J=jac[0], eps=1.0)

@@ -105,7 +105,7 @@ def three_mechanism_solve_batch(level1, level2, grid, vf, z0, eps=1.0,
         z = z + dz
         Z[:, i + 1] = z
 
-    return FlowState(grid=grid, Z=Z, J=J, z0=z0, eps=eps), K
+    return FlowState(grid=grid, Z=Z, J=J, eps=eps), K
 
 
 def term_by_term_directional_derivative(flow, vf, level1, shift, t_node):

@@ -7,8 +7,9 @@ finite-difference gradients, for mu along a schedule escalated x10 up to
 seeded starts as `rate_function`.  Phi_T is built by ``terminal_map``:
 `scheme_terminal`, the map `rate_function` constrains (`solve_batch` at
 eps = 1 on the grid), checks the optimizer; `skeleton_terminal`, the RK4
-skeleton on the refined grid, is the continuous map the scheme converges
-to.
+skeleton, is an accurate solve of the ODE that the scheme discretizes:
+both read h through its piecewise-linear interpolation on the grid, so
+the scheme's map converges to the skeleton's as n^-2.
 """
 
 from __future__ import annotations

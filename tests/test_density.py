@@ -275,8 +275,10 @@ def test_scheme_rate_converges_to_closed_form(n):
 
 
 def test_scheme_rate_matches_skeleton_oracle():
-    # the RK4 skeleton's rate, by the penalty oracle, is the continuum
-    # limit the scheme's rate approaches as n^-2
+    # the RK4 skeleton accurately solves the ODE that the scheme
+    # discretizes (both driven by h's piecewise-linear grid interpolation);
+    # its rate, by the penalty oracle, is the limit the scheme's rate
+    # approaches as n^-2
     kernel, vf, n = FractionalBrownian(0.4), bounded_nonlinear_field(), 64
     want = penalty_rate_function([1.0], kernel, vf, [0.0], skeleton_terminal,
                                  grid=TimeGrid.regular(n), m_nodes=4,
@@ -489,6 +491,29 @@ def test_unknown_collector_fails_before_any_chunk(monkeypatch):
         monte_carlo_reduce(brownian(), TimeGrid.regular(32),
                            identity_field(1), [0.0], [1.0], 100, seed=1,
                            collect="median", workers=2)
+
+
+@pytest.mark.parametrize("n_paths", [0, -5])
+@pytest.mark.parametrize("entry", ["monte_carlo_reduce", "estimate_density",
+                                   "first_variation_samples"])
+def test_no_paths_fails_before_any_chunk(monkeypatch, entry, n_paths):
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a chunk was sampled or forked")
+
+    monkeypatch.setattr(dens, "sample", no_chunk)
+    monkeypatch.setattr(dens, "_map_forked", no_chunk)
+    kernel, vf, grid = brownian(), identity_field(1), TimeGrid.regular(16)
+    calls = {
+        "monte_carlo_reduce": lambda: monte_carlo_reduce(
+            kernel, grid, vf, [0.0], [1.0], n_paths, seed=1, workers=2),
+        "estimate_density": lambda: estimate_density(
+            kernel, vf, [0.0], t=1.0, eps=1.0, n_paths=n_paths, seed=1,
+            grid=grid, workers=2),
+        "first_variation_samples": lambda: first_variation_samples(
+            CMElement(kernel, [1.0], [0.5]), kernel, vf, [0.0], grid,
+            n_paths, seed=1)}
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        calls[entry]()
 
 
 WORKER_BLOW_UP_SCRIPT = """

@@ -2,7 +2,6 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from roughdensity.fields import (
     bounded_nonlinear_field,
@@ -310,29 +309,20 @@ def test_scheme_tangent_matches_finite_difference(vf, z0):
                                    atol=1e-6 * np.abs(fd).max())
 
 
-def spline_grids():
-    random_nodes = np.sort(np.random.default_rng(31).uniform(0.0, 1.0, 39))
-    return [TimeGrid.regular(n) for n in (4, 16, 64, 256)] + [
-        TimeGrid(nodes=np.linspace(0.0, 1.0, 49) ** 1.5),
-        TimeGrid(nodes=np.r_[0.0, random_nodes, 1.0])]
+def test_skeleton_is_exact_through_a_kink_at_a_grid_node():
+    # Brownian h = 1.2 min(0.5, .) - 0.7 min(1, .) is linear on every cell
+    # of both grids, so the piecewise-linear driver is h itself and the
+    # coarse skeleton agrees with the fine one to the RK4 error alone
+    h = CMElement(brownian(), [0.5, 1.0], [1.2, -0.7])
+    vf = bounded_nonlinear_field()
+    coarse, fine = (solve_skeleton(h, vf, z0=[0.1], grid=TimeGrid.regular(n))
+                    for n in (16, 256))
+    assert coarse.Z[-1, 0] == pytest.approx(fine.Z[-1, 0], rel=1e-9)
 
 
-@pytest.mark.parametrize("grid", spline_grids(),
-                         ids=["n4", "n16", "n64", "n256", "graded", "random"])
-@pytest.mark.parametrize("kernel", [FractionalBrownian(0.4), brownian()],
-                         ids=["fbm0.4", "brownian"])
-def test_basis_dot_matches_scipy_cubic_spline(kernel, grid):
-    nodes = np.linspace(1 / 6, 1.0, 6)
-    prop = SkeletonPropagator(kernel, identity_field(1), grid, nodes)
-    fine = grid.refine(8)
-    stage_times = np.sort(np.r_[fine.nodes,
-                                0.5 * (fine.nodes[:-1] + fine.nodes[1:])])
-    want = CubicSpline(grid.nodes, prop.basis.T, axis=0)(stage_times, 1).T
-    assert prop.basis_dot.shape == want.shape
-    assert np.abs(prop.basis_dot - want).max() <= 1e-14 * np.abs(want).max()
-
-
-def test_skeleton_needs_four_grid_nodes():
-    with pytest.raises(ValueError, match="four nodes"):
-        SkeletonPropagator(brownian(), identity_field(1), TimeGrid.regular(2),
-                           np.array([0.5, 1.0]))
+def test_skeleton_on_a_two_step_grid():
+    h = CMElement(brownian(), [0.5, 1.0], [0.8, -0.3])
+    flow = solve_skeleton(h, identity_field(1), z0=[0.4],
+                          grid=TimeGrid.regular(2))
+    want = 0.4 + cm_eval(h, np.array([0.0, 0.5, 1.0]))[:, 0]
+    np.testing.assert_allclose(flow.Z[:, 0], want, rtol=1e-12, atol=1e-15)
