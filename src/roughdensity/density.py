@@ -692,7 +692,9 @@ def first_variation_samples(h: CMElement, kernel: CovKernel,
     """Samples of the Gaussian first variation
     G_1(h) = J_1(h) sum_i J_{u_i}(h)^{-1} V(Phi_{u_i}(h)) dX_i,
     shape (n_paths, n); mean 0 and covariance the deterministic matrix.
-    The chunks run on ``worker_count()`` workers."""
+    Phi(h) and J(h) are the skeleton, `solve_batch` at eps = 1 driven by
+    h's grid increments, so a grid too coarse for h raises
+    `CoarseGridError`.  The chunks run on ``worker_count()`` workers."""
     ranges = _chunk_ranges(n_paths)
     w = derivative_kernel(solve_skeleton(h, vf, z0, grid), vf,
                           grid.n_steps)[:-1]

@@ -80,17 +80,6 @@ class TimeGrid:
     def dts(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    def refine(self, factor: int) -> "TimeGrid":
-        """Subdivide every cell into ``factor`` equal parts."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        if factor == 1:
-            return self
-        left = self.nodes[:-1]
-        steps = np.diff(self.nodes)
-        sub = left[:, None] + steps[:, None] * (np.arange(factor) / factor)
-        return TimeGrid(nodes=np.append(sub.ravel(), self.nodes[-1]))
-
     def index_of(self, t: float) -> int:
         idx = int(np.searchsorted(self.nodes, t))
         if idx >= self.nodes.size or not math.isclose(self.nodes[idx], t,

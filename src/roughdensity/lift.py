@@ -190,17 +190,3 @@ def rough_norm(rp: RoughPath2, p: float) -> float:
     v2 = rp.p_variation(2, p / 2).value
     return v1 + np.sqrt(v2)
 
-
-def refine_linear(values: np.ndarray, factor: int) -> np.ndarray:
-    """Piecewise-linear subdivision of node values by an integer factor
-    (the smooth-approximation refinement used by convergence studies)."""
-    vals = np.asarray(values, dtype=float)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    w = np.arange(factor) / factor
-    left, right = vals[:-1], vals[1:]
-    sub = left[:, None, :] * (1 - w)[None, :, None] \
-        + right[:, None, :] * w[None, :, None]
-    out = np.concatenate([sub.reshape(-1, vals.shape[1]), vals[-1:]], axis=0)
-    return out[:, 0] if squeeze else out

@@ -4,7 +4,9 @@ The derivative kernel of the terminal state is J_t J_s^{-1} V(Z_s); the
 matrix assembles the 2D Riemann-Stieltjes pairing of that kernel with
 itself against the covariance increments (left-endpoint cells), which is
 exact for grid step functions.  The same assembly applied to a skeleton
-flow gives the deterministic matrix of the small-noise analysis.
+flow, the scheme at eps = 1 driven by h's grid increments, gives the
+deterministic matrix of the small-noise analysis: at the rate function's
+minimizer it is the rate function's gamma.
 
 Every function takes a `FlowState` and broadcasts over its leading batch
 axes: a single flow gives one result, a batch from `solve_batch` one per
@@ -119,7 +121,8 @@ def malliavin_matrix(flow: FlowState, vf: VectorFieldSystem,
 def deterministic_malliavin_matrix(h: CMElement, vf: VectorFieldSystem, z0,
                                    kernel: CovKernel,
                                    grid: TimeGrid) -> np.ndarray:
-    """Deterministic Malliavin matrix of the skeleton terminal state."""
+    """Deterministic Malliavin matrix of the skeleton terminal state (the
+    scheme at eps = 1 driven by h's grid increments)."""
     return malliavin_matrix(solve_skeleton(h, vf, z0, grid), vf, kernel,
                             grid.n_steps)
 

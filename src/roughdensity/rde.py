@@ -1,12 +1,12 @@
-"""Flow solvers: the rough differential equation with its Jacobian,
-and the skeleton ODE driven by a Cameron-Martin element h.
+"""Flow solver: the rough differential equation with its Jacobian, and
+the skeleton driven by a Cameron-Martin element h as the same scheme at
+eps = 1.
 
-Every flow reads its driver as piecewise-linear between the grid nodes:
-the RDE through the node increments, the skeleton through h's constant
-velocity on each cell, which RK4 integrates with ``REFINE_FACTOR``
-substeps.
+Every flow reads its driver as piecewise-linear between the grid nodes,
+through the node increments: a sampled path's, or h's for the skeleton.
+`solve_batch` is the one stepping loop.
 
-The RDE stepper is the one-step second-order (Davie) update in W-form:
+The stepper is the one-step second-order (Davie) update in W-form:
 z <- z + W + (1/2) DW W with W = V0(z) dt + V(z) x^1, which is the Taylor
 update with the piecewise-linear level 2 (1/2) x^1 (x) x^1 and the drift
 folded in, built from two-operand contractions only.  J is the exact
@@ -29,10 +29,8 @@ from .paths import CMElement
 
 
 # A state with |Z| beyond this bound is a blow-up (step too coarse or field
-# unbounded), for rough and skeleton flows alike.
+# unbounded); a skeleton is a scheme flow, so the guard covers it too.
 BLOW_UP_GUARD = 1e8
-# RK4 substeps of the skeleton per grid step.
-REFINE_FACTOR = 8
 
 
 class BlowUpError(RuntimeError):
@@ -54,7 +52,8 @@ class CoarseGridError(ValueError):
 @dataclass
 class FlowState:
     """Solution and Jacobian of one driver realization, or of a batch of
-    them along leading axes."""
+    them along leading axes; a skeleton is the flow at eps = 1 driven by
+    h's grid increments."""
 
     grid: TimeGrid
     Z: np.ndarray                 # (..., N+1, n)
@@ -147,70 +146,40 @@ def solve(values: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
 
 
 # ---------------------------------------------------------------------------
-# Skeleton ODE driven by Cameron-Martin elements
+# Skeleton: the scheme at eps = 1 driven by Cameron-Martin elements
 # ---------------------------------------------------------------------------
 
 class SkeletonPropagator:
-    """Batched RK4 skeleton ODE for elements on fixed nodes.
+    """Skeleton flows of elements on fixed nodes: `solve_batch` at eps = 1
+    driven by h's grid increments.
 
-    The driver is h's piecewise-linear interpolation on the grid, the
-    driver of every other flow: on cell i the skeleton runs at the constant
-    velocity (h(t_{i+1}) - h(t_i)) / dt_i, with ``REFINE_FACTOR`` RK4
-    substeps.  h is linear in its coefficients, so its basis traces
-    R(s_m, .) on the grid are computed once and reused for every
-    evaluation.
+    h is linear in its coefficients, so its basis traces R(s_m, .) on the
+    grid are computed once and reused for every evaluation.
     """
 
     def __init__(self, kernel, vf: VectorFieldSystem, grid: TimeGrid,
                  h_nodes: np.ndarray):
         self.vf = vf
-        self.dts = grid.dts
+        self.grid = grid
         # basis traces R(s_m, t) on the grid
         self.basis = np.atleast_2d(kernel.eval(
             np.asarray(h_nodes, dtype=float)[:, None], grid.nodes[None, :]))
 
     def propagate(self, coeffs: np.ndarray, z0):
-        """RK4 the skeleton for a coefficient batch (B, m, d): phi at grid
-        nodes (B, N+1, n) and J = dphi/dz0 at grid nodes (B, N+1, n, n), the
-        exact derivative of the discrete map from the variational recursion
-        through the same RK4 stages."""
+        """Skeletons for a coefficient batch (B, m, d): phi at grid nodes
+        (B, N+1, n) and J = dphi/dz0 (B, N+1, n, n)."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim == 2:
             coeffs = coeffs[:, :, None]
-        B = coeffs.shape[0]
-        vf, n = self.vf, self.vf.n
-        hdot = (np.einsum("bmd,mi->bid", coeffs, np.diff(self.basis, axis=1))
-                / self.dts[:, None])                           # (B, N, d)
-        phi = np.broadcast_to(_as_state(z0, n), (B, n)).copy()
-        jac = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-        phi_out, j_out = [phi], [jac]
-
-        def stage(state, j_state, hd):      # slopes of phi and J
-            k = vf.v0(state) + np.einsum("bad,bd->ba", vf.v(state), hd)
-            a = vf.dv0(state) + np.einsum("badj,bj->bad", vf.dv(state), hd)
-            return k, np.einsum("bac,bce->bae", a, j_state)
-
-        for i, dt in enumerate(self.dts):
-            hd, h = hdot[:, i], dt / REFINE_FACTOR
-            for _ in range(REFINE_FACTOR):
-                k1, m1 = stage(phi, jac, hd)
-                k2, m2 = stage(phi + 0.5 * h * k1, jac + 0.5 * h * m1, hd)
-                k3, m3 = stage(phi + 0.5 * h * k2, jac + 0.5 * h * m2, hd)
-                k4, m4 = stage(phi + h * k3, jac + h * m3, hd)
-                jac = jac + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
-                phi = phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if np.abs(phi).max() > BLOW_UP_GUARD:
-                    raise BlowUpError("skeleton escaped the guard radius",
-                                      last_valid_step=i)
-            phi_out.append(phi)
-            j_out.append(jac)
-        return np.stack(phi_out, axis=1), np.stack(j_out, axis=1)
+        level1 = np.einsum("bmd,mi->bid", coeffs, np.diff(self.basis, axis=1))
+        flow = solve_batch(level1, self.grid, self.vf, z0)
+        return flow.Z, flow.J
 
 
 def solve_skeleton(h: CMElement, vf: VectorFieldSystem, z0,
                    grid: TimeGrid) -> FlowState:
-    """Skeleton flow phi (as Z, at unit driver scale) and its Jacobian for
-    one Cameron-Martin element."""
+    """Skeleton flow phi (as Z, at driver scale eps = 1) and its Jacobian
+    for one Cameron-Martin element: a batch of one."""
     prop = SkeletonPropagator(h.kernel, vf, grid, h.nodes)
     phi, jac = prop.propagate(h.coeffs[None], z0)
     return FlowState(grid=grid, Z=phi[0], J=jac[0], eps=1.0)

@@ -7,9 +7,10 @@ finite-difference gradients, for mu along a schedule escalated x10 up to
 seeded starts as `rate_function`.  Phi_T is built by ``terminal_map``:
 `scheme_terminal`, the map `rate_function` constrains (`solve_batch` at
 eps = 1 on the grid), checks the optimizer; `skeleton_terminal`, the RK4
-skeleton, is an accurate solve of the ODE that the scheme discretizes:
-both read h through its piecewise-linear interpolation on the grid, so
-the scheme's map converges to the skeleton's as n^-2.
+skeleton of `_flow_oracle`, is an accurate solve of the ODE that the
+scheme discretizes: both read h through its piecewise-linear
+interpolation on the grid, so the scheme's map converges to the RK4
+skeleton's as n^-2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from roughdensity.kernels import TimeGrid
-from roughdensity.rde import SkeletonPropagator, solve_batch
+from roughdensity.rde import solve_batch
+
+from _flow_oracle import RK4SkeletonPropagator
 
 
 def scheme_terminal(kernel, vf, grid, nodes, z0):
@@ -37,7 +40,7 @@ def scheme_terminal(kernel, vf, grid, nodes, z0):
 
 def skeleton_terminal(kernel, vf, grid, nodes, z0):
     """Coefficients (B, m, d) -> phi_T (B, n) of the RK4 skeleton."""
-    prop = SkeletonPropagator(kernel, vf, grid, nodes)
+    prop = RK4SkeletonPropagator(kernel, vf, grid, nodes)
     return lambda coeffs: prop.propagate(coeffs, z0)[0][:, -1]
 
 

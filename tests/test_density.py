@@ -30,6 +30,7 @@ from roughdensity.fields import (
     bounded_nonlinear_field,
     degenerate_diag_field,
     identity_field,
+    rotation_mix_field,
     scalar_linear_field,
 )
 from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
@@ -287,6 +288,19 @@ def test_scheme_rate_matches_skeleton_oracle():
     res = rate_function([1.0], kernel, vf, [0.0], grid=TimeGrid.regular(n),
                         m_nodes=4, n_starts=1, seed=0)
     assert abs(res.d2 - want[0]) <= 0.1 / n ** 2
+
+
+@pytest.mark.parametrize("vf, y, z0", [
+    (bounded_nonlinear_field(), [1.0], [0.1]),
+    (rotation_mix_field(), [0.5, 0.3], [0.2, -0.1]),
+], ids=["bounded_nonlinear", "rotation_mix"])
+def test_rate_gamma_is_the_deterministic_matrix(vf, y, z0):
+    # d2's gamma is the Malliavin matrix of the scheme at its minimizer,
+    # and the skeleton is that scheme at eps = 1: one object
+    kernel, grid = FractionalBrownian(0.4), TimeGrid.regular(64)
+    res = rate_function(y, kernel, vf, z0, grid=grid, seed=3)
+    got = deterministic_malliavin_matrix(res.h_opt, vf, z0, kernel, grid)
+    assert np.abs(got - res.gamma).max() <= 1e-13 * np.abs(res.gamma).max()
 
 
 def test_rate_function_reports_iterations():

@@ -146,13 +146,10 @@ def test_fou_variance_scales_like_t_2h():
     assert slope == pytest.approx(2 * 0.4, abs=0.06)
 
 
-def test_grid_construction_and_refine():
+def test_grid_construction():
     grid = TimeGrid.regular(8, horizon=2.0)
     assert grid.n_steps == 8
     assert grid.mesh == pytest.approx(0.25)
-    fine = grid.refine(2)
-    assert fine.n_steps == 16
-    np.testing.assert_allclose(fine.nodes[::2], grid.nodes)
     with pytest.raises(ValueError):
         TimeGrid(nodes=np.array([0.1, 0.5, 1.0]))
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from roughdensity.lift import (
     lift,
     lift_ensemble,
     p_variation,
-    refine_linear,
     rough_norm,
 )
 from roughdensity.paths import sample
@@ -170,12 +169,3 @@ def test_lift_ensemble_is_time_major_and_matches_path_major_oracle(d):
         part = sample(k, grid, d=d, n_paths=size, seed=9,
                       path_offset=start + off).data
         assert np.array_equal(lift_ensemble(part), l1[off: off + size])
-
-
-def test_refine_linear_midpoints():
-    vals = np.array([0.0, 1.0, 0.5])
-    fine = refine_linear(vals, 2)
-    np.testing.assert_allclose(fine, [0.0, 0.5, 1.0, 0.75, 0.5])
-    vals2 = np.array([[0.0, 1.0], [2.0, 3.0]])
-    fine2 = refine_linear(vals2, 4)
-    np.testing.assert_allclose(fine2[:, 0], [0.0, 0.5, 1.0, 1.5, 2.0])

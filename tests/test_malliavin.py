@@ -29,9 +29,10 @@ from roughdensity.malliavin import (
 )
 from roughdensity.paths import (CMElement, cm_eval, random_unit_element,
                                sample)
-from roughdensity.rde import solve, solve_batch, solve_skeleton
+from roughdensity.rde import (CoarseGridError, solve, solve_batch,
+                              solve_skeleton)
 
-from _flow_oracle import (sandwich_malliavin_matrix,
+from _flow_oracle import (rk4_skeleton, sandwich_malliavin_matrix,
                           term_by_term_directional_derivative)
 
 
@@ -276,6 +277,41 @@ def test_deterministic_matrix_nondegenerate_for_elliptic_field():
         h = CMElement(k, nodes, rng.standard_normal((4, 1)))
         got = deterministic_malliavin_matrix(h, vf, [0.1], k, grid)
         assert np.linalg.eigvalsh(got)[0] > 0
+
+
+def test_skeleton_converges_to_rk4_oracle_as_n_squared():
+    # the skeleton is the scheme at eps = 1; the RK4 oracle solves the ODE
+    # it discretizes, so phi_T and the deterministic matrix approach the
+    # oracle's as n^-2 (measured n^2 gap: 0.20 / 0.05 for phi_T, 0.31 /
+    # 0.02 for gamma) on criterion 08's two elements
+    k, vf = FractionalBrownian(0.4), bounded_nonlinear_field()
+    rng = np.random.default_rng(19)
+    for _ in range(2):
+        nodes = np.sort(rng.uniform(0.1, 1.0, 3))
+        h = CMElement(k, nodes, rng.standard_normal((3, 1)))
+        for n in (32, 64, 128, 256):
+            grid = TimeGrid.regular(n)
+            oracle = rk4_skeleton(h, vf, [0.1], grid)
+            phi = solve_skeleton(h, vf, [0.1], grid).Z[-1]
+            gamma = deterministic_malliavin_matrix(h, vf, [0.1], k, grid)
+            want = malliavin_matrix(oracle, vf, k, n)
+            assert np.abs(phi - oracle.Z[-1]).max() <= (
+                0.5 / n ** 2 * np.abs(oracle.Z[-1]).max())
+            assert np.abs(gamma - want).max() <= (
+                0.5 / n ** 2 * np.abs(want).max())
+
+
+def test_skeleton_refuses_a_grid_too_coarse_for_h():
+    # Brownian h = 3 min(1, .) rises 1.5 over each cell of a 2-step grid:
+    # the scheme's contraction bound refuses it, as for a sampled driver
+    h = CMElement(brownian(), [1.0], [3.0])
+    vf = bounded_nonlinear_field()
+    with pytest.raises(CoarseGridError):
+        deterministic_malliavin_matrix(h, vf, [0.1], brownian(),
+                                       TimeGrid.regular(2))
+    got = deterministic_malliavin_matrix(h, vf, [0.1], brownian(),
+                                         TimeGrid.regular(4))
+    assert got.shape == (1, 1) and got[0, 0] == pytest.approx(2.2814, abs=1e-4)
 
 
 def test_inverse_eigenvalue_quantiles_scale_like_variance():

@@ -12,7 +12,7 @@ from roughdensity.fields import (
 )
 from roughdensity.density import _scheme_linearization
 from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
-from roughdensity.lift import lift, lift_ensemble, refine_linear
+from roughdensity.lift import lift, lift_ensemble
 from roughdensity.paths import CMElement, cm_eval, sample
 from roughdensity.rde import (
     BlowUpError,
@@ -23,7 +23,7 @@ from roughdensity.rde import (
     solve_skeleton,
 )
 
-from _flow_oracle import three_mechanism_solve_batch
+from _flow_oracle import rk4_skeleton, three_mechanism_solve_batch
 
 
 def bm_path(n=256, seed=0, d=1):
@@ -71,8 +71,8 @@ def test_scheme_order_on_refined_driver():
     base_vals, base_grid = bm_path(n=64, seed=5)
     errs, ns = [], []
     for factor in (1, 2, 4, 8):
-        vals = refine_linear(base_vals, factor)
-        grid = base_grid.refine(factor)
+        grid = TimeGrid.regular(64 * factor)
+        vals = np.interp(grid.nodes, base_grid.nodes, base_vals[:, 0])
         fs = solve(vals, grid, scalar_linear_field(1.0), z0=[1.0], eps=1.0,
                    with_jacobian=False)
         errs.append(abs(fs.Z[-1, 0] - np.exp(base_vals[-1, 0])))
@@ -227,16 +227,17 @@ def test_solver_errors_survive_pickling():
 
 
 # ---------------------------------------------------------------------------
-# skeleton
+# skeleton; the closed forms at rel 1e-8 and below pin the RK4 oracle that
+# the scheme's skeleton converges to (test_malliavin.py bounds that gap)
 # ---------------------------------------------------------------------------
 
 def test_skeleton_zero_element_is_drift_flow():
     k = brownian()
     grid = TimeGrid.regular(64)
     h = CMElement(k, [0.5], [0.0])
-    flow = solve_skeleton(h, identity_field(1), z0=[0.7], grid=grid)
+    flow = rk4_skeleton(h, identity_field(1), z0=[0.7], grid=grid)
     np.testing.assert_allclose(flow.Z, 0.7 * np.ones((65, 1)), atol=1e-12)
-    flow2 = solve_skeleton(h, linear_drift_field(-1.0), z0=[2.0], grid=grid)
+    flow2 = rk4_skeleton(h, linear_drift_field(-1.0), z0=[2.0], grid=grid)
     np.testing.assert_allclose(flow2.Z[-1, 0], 2.0 * np.exp(-1.0),
                                rtol=1e-9)
 
@@ -254,7 +255,7 @@ def test_skeleton_linear_field_exponential():
     k = brownian()
     grid = TimeGrid.regular(128)
     h = CMElement(k, [1.0], [0.9])
-    flow = solve_skeleton(h, scalar_linear_field(1.0), z0=[1.0], grid=grid)
+    flow = rk4_skeleton(h, scalar_linear_field(1.0), z0=[1.0], grid=grid)
     want = np.exp(cm_eval(h, 1.0)[0])
     assert flow.Z[-1, 0] == pytest.approx(want, rel=1e-8)
     # Jacobian of the scalar linear skeleton equals the flow ratio
@@ -275,6 +276,10 @@ def test_skeleton_propagator_batches_match_single():
         flow = solve_skeleton(h, vf, z0=[0.1], grid=grid)
         assert phi[b, -1, 0] == pytest.approx(flow.Z[-1, 0], rel=1e-12)
         np.testing.assert_allclose(jac[b], flow.J, rtol=1e-12)
+        # the skeleton is the scheme at eps = 1 along h's node values
+        path = solve(cm_eval(h, grid.nodes), grid, vf, z0=[0.1])
+        np.testing.assert_allclose(flow.Z, path.Z, rtol=1e-12)
+        np.testing.assert_allclose(flow.J, path.J, rtol=1e-12)
 
 
 @pytest.mark.parametrize("vf, z0", [
@@ -312,10 +317,10 @@ def test_scheme_tangent_matches_finite_difference(vf, z0):
 def test_skeleton_is_exact_through_a_kink_at_a_grid_node():
     # Brownian h = 1.2 min(0.5, .) - 0.7 min(1, .) is linear on every cell
     # of both grids, so the piecewise-linear driver is h itself and the
-    # coarse skeleton agrees with the fine one to the RK4 error alone
+    # coarse RK4 skeleton agrees with the fine one to the RK4 error alone
     h = CMElement(brownian(), [0.5, 1.0], [1.2, -0.7])
     vf = bounded_nonlinear_field()
-    coarse, fine = (solve_skeleton(h, vf, z0=[0.1], grid=TimeGrid.regular(n))
+    coarse, fine = (rk4_skeleton(h, vf, z0=[0.1], grid=TimeGrid.regular(n))
                     for n in (16, 256))
     assert coarse.Z[-1, 0] == pytest.approx(fine.Z[-1, 0], rel=1e-9)
 
