@@ -31,6 +31,7 @@ from .paths import (              # noqa: F401
     cm_inner,
     cm_norm_sq,
     sample,
+    sample_increments,
     step_inner,
     wiener_integral,
 )

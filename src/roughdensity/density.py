@@ -1,15 +1,17 @@
 """Monte-Carlo density estimation, tail-form checks, and the small-noise
 program: rate-function minimization and the vanishing-noise sweep.
 
-All Monte Carlo flows through counter-based per-path streams, so a chunk
-of paths draws the same numbers in whichever process runs it, and results
-are identical for any chunking/worker layout; reductions run in fixed
-chunk order.  `worker_count` is the one rule for how many workers a call
-gets; with more than one, the chunks of `monte_carlo_reduce` and
+All Monte Carlo flows through counter-based streams, one per aligned
+block of `paths.BLOCK_PATHS` paths, so a chunk of paths draws the same
+numbers in whichever process runs it, and results are identical for any
+chunking/worker layout; reductions run in fixed chunk order.
+`worker_count` is the one rule for how many workers a call gets; with
+more than one, the chunks of `monte_carlo_reduce` and
 `first_variation_samples` run in forked worker processes (serially where
 the platform cannot fork).  A chunk enters the flow solver as its level-1
-increments (`lift_ensemble`), written once time-major so that every eps
-reads them without a copy; the solver forms each step's level 2 itself.
+increments (`paths.sample_increments`), written block by block straight
+into a time-major buffer that every eps reads without a copy; the solver
+forms each step's level 2 itself.
 `varadhan_check` solves the rate function d^2(y) in this process while the
 chunks of its sweep run in the workers.
 """
@@ -25,10 +27,9 @@ import numpy as np
 from .diagnostics import kappa
 from .fields import VectorFieldSystem, ellipticity_scan, NonEllipticError
 from .kernels import CovKernel, TimeGrid
-from .lift import lift_ensemble
 from .malliavin import (derivative_kernel, directional_derivative,
                         malliavin_matrix)
-from .paths import CMElement, cholesky_factor, sample
+from .paths import CMElement, cholesky_factor, sample_increments
 from .rde import (BlowUpError, CoarseGridError, FlowState, solve_batch,
                   solve_skeleton)
 
@@ -184,11 +185,9 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
 
     def run_chunk(off_size):
         off, size = off_size
-        # the node values go once lifted; every solve reads the lift's
-        # time-major buffer as it is
-        level1 = lift_ensemble(sample(kernel, grid, d=vf.d, n_paths=size,
-                                      seed=seed, path_offset=off,
-                                      chol=chol).data)
+        # every solve reads the time-major increments as they are
+        level1 = sample_increments(kernel, grid, d=vf.d, n_paths=size,
+                                   seed=seed, path_offset=off, chol=chol)
         outs = []
         for eps in eps_list:
             batch = solve_batch(level1, grid, vf, z0, eps=eps,
@@ -702,12 +701,8 @@ def first_variation_samples(h: CMElement, kernel: CovKernel,
 
     def run_chunk(off_size):
         off, size = off_size
-        ens = sample(kernel, grid, d=vf.d, n_paths=size, seed=seed,
-                     path_offset=off, chol=chol)
-        # a strided view of the differences, not lift_ensemble's
-        # time-major buffer: einsum's summation order, and so the last
-        # bits, follow the operand's strides
-        return np.einsum("sad,psd->pa", w,
-                         np.diff(ens.data, axis=2).transpose(0, 2, 1))
+        return np.einsum("sad,psd->pa", w, sample_increments(
+            kernel, grid, d=vf.d, n_paths=size, seed=seed, path_offset=off,
+            chol=chol))
 
     return np.concatenate(_map_chunks(run_chunk, ranges, None), axis=0)

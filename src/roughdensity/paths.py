@@ -1,12 +1,16 @@
 """Exact Gaussian sampling on a grid and Cameron-Martin arithmetic.
 
-Sampling shares one Cholesky factor of the grid Gram matrix across paths
-and components; randomness comes from counter-based Philox streams keyed by
-(seed, path index, component), so ensembles are bit-identical no matter how
-path ranges are chunked across workers.  Each `sample` call builds one
-Philox generator and re-keys it per stream (counter and buffers reset), which
-draws the same numbers as a fresh ``Philox(key=...)`` per stream without its
-per-construction seeding cost.
+Sampling shares one Cholesky factor L of the grid Gram matrix across paths
+and components.  Randomness comes from counter-based Philox streams, one per
+aligned block of `BLOCK_PATHS` global path indices, keyed by (seed, block)
+and read from counter zero.  A block's normals fill a (BLOCK_PATHS * d, n)
+array u, row r being path r // d of the block and component r % d, and its
+node values are u @ L.T, formed by the same fixed sequence of BLAS calls for
+every block.  A call computes every block its path range touches in full
+and keeps its own rows, so ensembles are bit-identical no matter how path
+ranges are chunked across workers.  Each call builds one Philox generator
+and re-keys it per block, which draws the same numbers as a fresh
+``Philox(key=...)`` per block without its per-construction seeding cost.
 """
 
 from __future__ import annotations
@@ -24,12 +28,21 @@ from .kernels import (CovKernel, TimeGrid, jitter_cholesky, kernel_from_spec,
 
 _MAGIC = b"RDPE"
 _VERSION = 1
-# Names the stream layout of `sample`, recorded in every run's manifest; a
-# new layout is a new realization and needs a new id.
-RNG_SCHEME = "philox(key=seed<<64|path*d+component)"
+# Paths per Philox stream: block b holds global paths [64 b, 64 b + 64).
+BLOCK_PATHS = 64
+# Names the stream layout of `sample` and `sample_increments`, recorded in
+# every run's manifest; a new layout is a new realization and needs a new id.
+RNG_SCHEME = "philox(key=seed<<64|path//64; row=path%64*d+component)"
 
 
 _MASK64 = (1 << 64) - 1
+# OpenBLAS runs a GEMM of at most 2^18 multiply-adds (M N K) on one thread
+# and a larger one on all of its threads.  Per-block products of that size
+# on threads stall each other, worst inside forked chunk workers (a
+# 200,000-path n = 256 reduction at two workers took 23 s instead of 1.5 s
+# on 2 vCPUs, OpenBLAS 0.3.31), so `_node_values` cuts each block's product
+# into panels under it.
+_SERIAL_GEMM_MNK = 1 << 18
 
 
 def cholesky_factor(kernel: CovKernel, grid: TimeGrid) -> np.ndarray:
@@ -54,22 +67,34 @@ class PathEnsemble:
         return self.data[idx].T
 
 
-def sample(kernel: CovKernel, grid: TimeGrid, d: int = 1, n_paths: int = 1,
-           seed: int = 0, path_offset: int = 0,
-           chol: np.ndarray | None = None) -> PathEnsemble:
-    """Draw ``n_paths`` exact Gaussian paths.
-
-    ``path_offset`` shifts the global path indices, so a large ensemble can
-    be produced in chunks (in any order, on any worker) and concatenated
-    into the same realization.
-    """
+def _check_request(d: int, n_paths: int, path_offset: int) -> None:
     if d < 1 or n_paths < 1:
         raise ValueError("d and n_paths must be >= 1")
+    if path_offset < 0:
+        raise ValueError("path_offset must be >= 0")
+
+
+def _node_values(u: np.ndarray, L: np.ndarray, out: np.ndarray) -> None:
+    """out = u @ L.T for lower-triangular L, as column panels
+    out[:, j:e] = u[:, :e] @ L.T[:e, j:e], each at most
+    `_SERIAL_GEMM_MNK` multiply-adds."""
+    rows, n = u.shape
+    width = max(1, _SERIAL_GEMM_MNK // (rows * n))
+    for j in range(0, n, width):
+        e = min(n, j + width)
+        np.matmul(u[:, :e], L.T[:e, j:e], out=out[:, j:e])
+
+
+def _block_values(kernel, grid, d, n_paths, seed, path_offset, chol):
+    """Node values of global paths [path_offset, path_offset + n_paths)
+    without the t_0 = 0 node, block by block: yields (lo, v), v the
+    (k * d, n) rows of local paths lo .. lo + k - 1, component-minor.  v is
+    a view of a buffer the next block overwrites."""
     L = cholesky_factor(kernel, grid) if chol is None else chol
-    n = grid.n_steps
-    z = np.empty((n_paths, d, n))
-    # Stream (path, component) is Philox with key words [stream, seed] from
-    # counter zero; the generator is local, so concurrent calls share none.
+    u = np.empty((BLOCK_PATHS * d, grid.n_steps))
+    v = np.empty_like(u)
+    # Block b is Philox with key words [b, seed] from counter zero; the
+    # generator is local, so concurrent calls share none.
     key = [0, int(seed) & _MASK64]
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": key},
@@ -77,15 +102,62 @@ def sample(kernel: CovKernel, grid: TimeGrid, d: int = 1, n_paths: int = 1,
              "has_uint32": 0, "uinteger": 0}
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    rows = z.reshape(n_paths * d, n)
-    for r in range(n_paths * d):
-        key[0] = (path_offset * d + r) & _MASK64
+    stop = path_offset + n_paths
+    for b in range(path_offset // BLOCK_PATHS, -(-stop // BLOCK_PATHS)):
+        key[0] = b & _MASK64
         bitgen.state = state
-        gen.standard_normal(out=rows[r])
+        gen.standard_normal(out=u)
+        _node_values(u, L, v)
+        first = b * BLOCK_PATHS
+        lo, hi = max(first, path_offset), min(first + BLOCK_PATHS, stop)
+        yield lo - path_offset, v[(lo - first) * d:(hi - first) * d]
+
+
+def sample(kernel: CovKernel, grid: TimeGrid, d: int = 1, n_paths: int = 1,
+           seed: int = 0, path_offset: int = 0,
+           chol: np.ndarray | None = None) -> PathEnsemble:
+    """Draw ``n_paths`` exact Gaussian paths.
+
+    ``path_offset`` (>= 0) shifts the global path indices, so a large
+    ensemble can be produced in chunks (in any order, on any worker) and
+    concatenated into the same realization.  Path p comes from the Philox
+    stream of block p // `BLOCK_PATHS`.  ``chol``, when given, is
+    `cholesky_factor` (kernel, grid), shared across calls.
+    """
+    _check_request(d, n_paths, path_offset)
+    n = grid.n_steps
     data = np.zeros((n_paths, d, n + 1))
-    data[:, :, 1:] = z @ L.T
+    rows = data.reshape(n_paths * d, n + 1)[:, 1:]
+    for lo, v in _block_values(kernel, grid, d, n_paths, seed, path_offset,
+                               chol):
+        rows[lo * d:lo * d + len(v)] = v
     return PathEnsemble(grid=grid, d=d, n_paths=n_paths, seed=seed,
                         kernel_spec=kernel_spec(kernel), data=data)
+
+
+def sample_increments(kernel: CovKernel, grid: TimeGrid, d: int = 1,
+                      n_paths: int = 1, seed: int = 0, path_offset: int = 0,
+                      chol: np.ndarray | None = None) -> np.ndarray:
+    """Level-1 increments (n_paths, N, d) of the paths `sample` draws with
+    the same arguments, equal bit for bit to
+    ``lift_ensemble(sample(...).data)``.  Each block's increments go
+    straight into a contiguous time-major (N, n_paths, d) buffer, returned
+    as its (n_paths, N, d) transposed view, the layout `rde.solve_batch`
+    steps through without a copy."""
+    _check_request(d, n_paths, path_offset)
+    n = grid.n_steps
+    out = np.empty((n, n_paths * d))
+    node = np.empty((n, BLOCK_PATHS * d))
+    for lo, v in _block_values(kernel, grid, d, n_paths, seed, path_offset,
+                               chol):
+        # one transposing copy within the block, then a contiguous
+        # difference into the buffer's rows
+        cols = node[:, :len(v)]
+        np.copyto(cols, v.T)
+        dest = out[:, lo * d:lo * d + len(v)]
+        dest[0] = cols[0]
+        np.subtract(cols[1:], cols[:-1], out=dest[1:])
+    return out.reshape(n, n_paths, d).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,9 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
     The steps run time-major: over the increments as a contiguous (N, P, d)
     array, writing Z as (N+1, P, n), so each step reads and writes
     contiguous rows; Z is returned as the (P, N+1, n) transposed view.
-    `lift.lift_ensemble` returns increments whose (N, P, d) transpose is
-    already contiguous, so they are read as they are; any other layout is
-    copied once per call.
+    `paths.sample_increments` and `lift.lift_ensemble` return increments
+    whose (N, P, d) transpose is already contiguous, so they are read as
+    they are; any other layout is copied once per call.
     """
     P, N, d = level1.shape
     if d != vf.d or N != grid.n_steps:

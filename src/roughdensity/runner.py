@@ -48,7 +48,8 @@ from .malliavin import (
     malliavin_matrix,
 )
 from .paths import (RNG_SCHEME, cm_eval, export_path_csv,
-                    random_unit_element, sample, save_ensemble)
+                    random_unit_element, sample, sample_increments,
+                    save_ensemble)
 from .rde import BlowUpError, CoarseGridError, solve_batch
 
 EXIT_PASS = 0
@@ -381,8 +382,9 @@ def _exp_audit_malliavin(config, kernel, grid, vf, out_dir, workers, gate):
     got = directional_derivative(base, vf, level1, shifts, kernel.horizon)
     worst = float(np.abs(fd - got).max())
     # gamma sanity on a fresh small ensemble
-    ens2 = sample(kernel, grid, d=vf.d, n_paths=64, seed=seed + 2)
-    batch = solve_batch(lift_ensemble(ens2.data), grid, vf, z0, eps=eps)
+    batch = solve_batch(sample_increments(kernel, grid, d=vf.d, n_paths=64,
+                                          seed=seed + 2), grid, vf, z0,
+                        eps=eps)
     gammas = malliavin_matrix(batch, vf, kernel, kernel.horizon)
     sym_err = float(np.abs(gammas - np.swapaxes(gammas, -1, -2)).max())
     eigs = np.linalg.eigvalsh(gammas)

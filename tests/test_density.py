@@ -499,7 +499,7 @@ def test_unknown_collector_fails_before_any_chunk(monkeypatch):
     def no_sample(*args, **kwargs):
         raise AssertionError("a chunk was sampled")
 
-    monkeypatch.setattr(dens, "sample", no_sample)
+    monkeypatch.setattr(dens, "sample_increments", no_sample)
     monkeypatch.setattr(dens, "CHUNK_PATHS", 50)
     with pytest.raises(ValueError, match="unknown collector 'median'"):
         monte_carlo_reduce(brownian(), TimeGrid.regular(32),
@@ -514,7 +514,7 @@ def test_no_paths_fails_before_any_chunk(monkeypatch, entry, n_paths):
     def no_chunk(*args, **kwargs):
         raise AssertionError("a chunk was sampled or forked")
 
-    monkeypatch.setattr(dens, "sample", no_chunk)
+    monkeypatch.setattr(dens, "sample_increments", no_chunk)
     monkeypatch.setattr(dens, "_map_forked", no_chunk)
     kernel, vf, grid = brownian(), identity_field(1), TimeGrid.regular(16)
     calls = {

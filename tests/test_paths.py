@@ -8,8 +8,9 @@ from roughdensity.kernels import (
     brownian,
     jitter_cholesky,
 )
-from roughdensity.lift import p_variation
+from roughdensity.lift import lift_ensemble, p_variation
 from roughdensity.paths import (
+    BLOCK_PATHS,
     CMElement,
     cholesky_factor,
     cm_eval,
@@ -18,12 +19,13 @@ from roughdensity.paths import (
     export_path_csv,
     load_ensemble,
     sample,
+    sample_increments,
     save_ensemble,
     step_inner,
     wiener_integral,
 )
 
-from _stream_oracle import oracle_sample_data
+from _stream_oracle import block_product, oracle_sample_data
 
 
 @pytest.fixture(scope="module")
@@ -76,15 +78,56 @@ def test_chunked_sampling_is_bit_identical():
 @pytest.mark.parametrize("n", [4, 64, 256])
 def test_sample_matches_per_stream_oracle(d, n):
     # Seeds past 2^63, negative and past 2^64 exercise the 64-bit masking;
-    # the second offset range crosses the 16,384-path chunk boundary.
+    # offsets 63, 64 and 65 start at and around a block boundary, and the
+    # last range crosses the 16,384-path chunk boundary.
     k = FractionalBrownian(0.4)
     grid = TimeGrid.regular(n)
     for seed in (0, 13, 2**63 + 5, -1, 2**64 + 3):
-        for offset, n_paths in ((0, 3), (16_381, 6)):
+        for offset, n_paths in ((0, 3), (63, 3), (64, 3), (65, 3),
+                                (16_381, 6)):
             got = sample(k, grid, d=d, n_paths=n_paths, seed=seed,
                          path_offset=offset)
             want = oracle_sample_data(k, grid, d, n_paths, seed, offset)
             assert np.array_equal(got.data, want)
+
+
+@pytest.mark.parametrize("n", [4, 64, 256, 512])
+def test_block_product_is_the_matrix_product(n):
+    # the panels that keep each GEMM on one BLAS thread skip only the zeros
+    # above L's diagonal
+    L = cholesky_factor(FractionalBrownian(0.4), TimeGrid.regular(n))
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3):
+        u = rng.standard_normal((BLOCK_PATHS * d, n))
+        got = block_product(u, L)
+        assert np.allclose(got, u @ L.T, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_increments_are_the_lifted_sample(d):
+    k = FractionalBrownian(0.4)
+    grid = TimeGrid.regular(32)
+    chol = cholesky_factor(k, grid)
+    for offset in (0, 63, 64, 16_381):
+        got = sample_increments(k, grid, d=d, n_paths=150, seed=9,
+                                path_offset=offset, chol=chol)
+        want = lift_ensemble(sample(k, grid, d=d, n_paths=150, seed=9,
+                                    path_offset=offset, chol=chol).data)
+        assert got.shape == (150, 32, d)
+        assert np.array_equal(got, want)
+        # time-major: the transposed view of a contiguous (N, P, d) buffer
+        assert got.transpose(1, 0, 2).flags.c_contiguous
+        parts = [sample_increments(k, grid, d=d, n_paths=size, seed=9,
+                                   path_offset=offset + start, chol=chol)
+                 for start, size in ((0, 1), (1, 64), (65, 85))]
+        assert np.array_equal(np.concatenate(parts, axis=0), got)
+
+
+def test_negative_path_offset_is_rejected():
+    k, grid = brownian(), TimeGrid.regular(8)
+    for draw in (sample, sample_increments):
+        with pytest.raises(ValueError, match="path_offset must be >= 0"):
+            draw(k, grid, d=1, n_paths=2, seed=0, path_offset=-1)
 
 
 def test_sample_builds_one_philox_per_call(monkeypatch):
