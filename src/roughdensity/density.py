@@ -11,7 +11,8 @@ more than one, the chunks of `monte_carlo_reduce` and
 the platform cannot fork).  A chunk enters the flow solver as its level-1
 increments (`paths.sample_increments`), written block by block straight
 into a time-major buffer that every eps reads without a copy; the solver
-forms each step's level 2 itself.
+forms each step's level 2 itself.  A chunk steps each eps once and keeps
+only its collector's value per path, never a stored trajectory.
 `varadhan_check` solves the rate function d^2(y) in this process while the
 chunks of its sweep run in the workers.
 """
@@ -30,8 +31,8 @@ from .kernels import CovKernel, TimeGrid
 from .malliavin import (derivative_kernel, directional_derivative,
                         malliavin_matrix)
 from .paths import CMElement, cholesky_factor, sample_increments
-from .rde import (BlowUpError, CoarseGridError, FlowState, solve_batch,
-                  solve_skeleton)
+from .rde import (BlowUpError, CoarseGridError, FlowState, _steps,
+                  solve_batch, solve_skeleton)
 
 CHUNK_PATHS = 16384
 ENV_WORKERS = "ROUGHDENSITY_WORKERS"
@@ -168,7 +169,10 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
 
     ``collect`` is ``"terminal"`` (state at ``t_node``, default the
     horizon) or ``"running_sup"`` (sup of |Z - z0| over nodes up to
-    ``t_node``).  The same driver realization feeds every eps.
+    ``t_node``).  The same driver realization feeds every eps.  A chunk
+    keeps only that value per path and eps while it steps, not the
+    trajectory; every step still runs, so a blow-up after ``t_node``
+    raises.
     ``meanwhile``, a function of no arguments, is called in this process
     once the chunks have started and before they are collected, so with
     forked workers it runs while they do; if it raises, the chunks are
@@ -183,22 +187,30 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
     chol = cholesky_factor(kernel, grid)
     z0_arr = np.atleast_1d(np.asarray(z0, dtype=float))
 
+    def reduce_flow(level1, eps):
+        # one value per path, kept while stepping; every step still runs,
+        # so a blow-up after t_node raises as it would in a stored solve
+        flow = _steps(level1, grid, vf, z0_arr, eps, with_jacobian=False)
+        if collect == "terminal":
+            for k, (z, _) in enumerate(flow):
+                if k == idx:
+                    kept = z
+            return kept
+        # sqrt is monotone and correctly rounded, so the sup of the norms
+        # is the sqrt of the sup of the squared norms, bit for bit
+        sq = np.zeros(level1.shape[0])
+        for k, (z, _) in enumerate(flow):
+            if k <= idx:
+                dz = z - z0_arr
+                np.maximum(sq, np.add.reduce(dz * dz, axis=1), out=sq)
+        return np.sqrt(sq)
+
     def run_chunk(off_size):
         off, size = off_size
-        # every solve reads the time-major increments as they are
+        # every eps steps the time-major increments as they are
         level1 = sample_increments(kernel, grid, d=vf.d, n_paths=size,
                                    seed=seed, path_offset=off, chol=chol)
-        outs = []
-        for eps in eps_list:
-            batch = solve_batch(level1, grid, vf, z0, eps=eps,
-                                with_jacobian=False)
-            if collect == "terminal":
-                outs.append(batch.Z[:, idx, :].copy())
-            else:
-                dev = np.linalg.norm(batch.Z[:, : idx + 1, :] - z0_arr,
-                                     axis=2)
-                outs.append(dev.max(axis=1))
-        return outs
+        return [reduce_flow(level1, eps) for eps in eps_list]
 
     results = _map_chunks(run_chunk, ranges, workers, meanwhile)
     return [np.concatenate([r[i] for r in results], axis=0)
@@ -246,10 +258,11 @@ def kde_evaluate(samples: np.ndarray, points: np.ndarray,
                  bandwidth: np.ndarray):
     """Gaussian-product KDE with pointwise standard errors.
 
-    Returns (p_hat, se) over ``points`` (m, dim).  The samples are sorted
-    once by coordinate 0; each point sums the full product kernel over the
-    samples whose coordinate 0 lies within ``KDE_WINDOW`` bandwidths h_0 of
-    its own (found by bisection).  A skipped sample weighs less than
+    Returns (p_hat, se) over ``points`` (m, dim).  The samples within
+    ``KDE_WINDOW`` bandwidths h_0 of the points' span in coordinate 0 are
+    sorted once by it; each point sums the full product kernel over the
+    samples whose coordinate 0 lies within ``KDE_WINDOW`` h_0 of its own
+    (found by bisection).  A skipped sample weighs less than
     exp(-KDE_WINDOW^2 / 2) ~ 2.6e-18 of the kernel's peak.  A point whose
     window holds no sample gets p = se = 0 exactly: no sample came near it,
     which is not a precise estimate of a zero density.
@@ -259,10 +272,15 @@ def kde_evaluate(samples: np.ndarray, points: np.ndarray,
     n, dim = samples.shape
     h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (dim,))
     norm = 1.0 / (np.prod(h) * (2 * math.pi) ** (dim / 2))
-    srt = samples[np.argsort(samples[:, 0])]
     reach = KDE_WINDOW * h[0]
-    lo = np.searchsorted(srt[:, 0], points[:, 0] - reach, side="left")
-    hi = np.searchsorted(srt[:, 0], points[:, 0] + reach, side="right")
+    lo_edge = points[:, 0] - reach
+    hi_edge = points[:, 0] + reach
+    # only the samples some window reaches are sorted
+    near = samples[(samples[:, 0] >= lo_edge.min(initial=np.inf))
+                   & (samples[:, 0] <= hi_edge.max(initial=-np.inf))]
+    srt = near[np.argsort(near[:, 0])]
+    lo = np.searchsorted(srt[:, 0], lo_edge, side="left")
+    hi = np.searchsorted(srt[:, 0], hi_edge, side="right")
     s1 = np.zeros(points.shape[0])
     s2 = np.zeros(points.shape[0])
     for i, (a, b) in enumerate(zip(lo, hi)):

@@ -147,13 +147,10 @@ def sample_increments(kernel: CovKernel, grid: TimeGrid, d: int = 1,
     _check_request(d, n_paths, path_offset)
     n = grid.n_steps
     out = np.empty((n, n_paths * d))
-    node = np.empty((n, BLOCK_PATHS * d))
     for lo, v in _block_values(kernel, grid, d, n_paths, seed, path_offset,
                                chol):
-        # one transposing copy within the block, then a contiguous
-        # difference into the buffer's rows
-        cols = node[:, :len(v)]
-        np.copyto(cols, v.T)
+        # difference the block's transposed view into the buffer's rows
+        cols = v.T
         dest = out[:, lo * d:lo * d + len(v)]
         dest[0] = cols[0]
         np.subtract(cols[1:], cols[:-1], out=dest[1:])

@@ -4,7 +4,10 @@ eps = 1.
 
 Every flow reads its driver as piecewise-linear between the grid nodes,
 through the node increments: a sampled path's, or h's for the skeleton.
-`solve_batch` is the one stepping loop.
+The private generator `_steps` is the one stepping loop: it yields each
+node's state (and step derivative) and stores nothing.  `solve_batch`
+stores what it yields as the trajectory Z (and J); the Monte-Carlo chunks
+of `density.monte_carlo_reduce` keep only one value per path instead.
 
 The stepper is the one-step second-order (Davie) update in W-form:
 z <- z + W + (1/2) DW W with W = V0(z) dt + V(z) x^1, which is the Taylor
@@ -68,23 +71,16 @@ def _as_state(z0, n: int) -> np.ndarray:
     return z
 
 
-def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
-                z0, eps: float = 1.0, with_jacobian: bool = True) -> FlowState:
-    """Second-order one-step scheme over an ensemble of drivers.
+def _steps(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
+           eps: float, with_jacobian: bool):
+    """The one stepping loop: yields (z, a) at every node k = 0 .. N, z the
+    state (P, n) and, with the Jacobian, a the derivative A_k of the step
+    into node k (P, n, n); a is None at node 0 and without the Jacobian.
 
-    ``level1``: (P, N, d) increments dx of the drivers' node values; step i
-    takes x^1 = eps dx, W = V0 dt + V x^1 and DW = DV0 dt + DV x^1 at the
-    current state and adds W + (1/2) DW W.  With the Jacobian, each step
-    forms A_i = DW + (1/2)(D2W[W] + DW DW), (P, n, n), with
-    D2W = D2V0 dt + D2V x^1, and updates J <- J + A_i J, so J is the exact
-    derivative of the discrete map.  Z is (P, N+1, n), J (P, N+1, n, n).
-
-    The steps run time-major: over the increments as a contiguous (N, P, d)
-    array, writing Z as (N+1, P, n), so each step reads and writes
-    contiguous rows; Z is returned as the (P, N+1, n) transposed view.
-    `paths.sample_increments` and `lift.lift_ensemble` return increments
-    whose (N, P, d) transpose is already contiguous, so they are read as
-    they are; any other layout is copied once per call.
+    ``level1`` is (P, N, d); its steps are read time-major, as a contiguous
+    (N, P, d) array (copied only if it is not one already).  The checks run
+    before node 0 is yielded.  A caller keeps what it needs of each node, so
+    no trajectory is stored unless the caller stores it.
     """
     P, N, d = level1.shape
     if d != vf.d or N != grid.n_steps:
@@ -93,20 +89,16 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
     z0 = _as_state(z0, n)
     dts = grid.dts
 
-    if eps * np.abs(level1).max(initial=0.0) >= 1.0:
+    # max |dx| without an |level1| temporary; a NaN increment passes
+    if level1.size and eps * max(level1.max(), -level1.min()) >= 1.0:
         raise CoarseGridError("per-step increment norm >= 1: grid too "
                               "coarse for the step-map contraction")
 
     steps = np.ascontiguousarray(level1.transpose(1, 0, 2))     # (N, P, d)
-    Z = np.empty((N + 1, P, n))
-    Z[0] = z0
-    z = Z[0]
-    if with_jacobian:
-        J = np.empty((P, N + 1, n, n))
-        J[:, 0] = np.eye(n)
-    else:
-        J = None
-
+    z = np.empty((P, n))
+    z[:] = z0
+    a = None
+    yield z, a
     for i in range(N):
         dt = dts[i]
         x1 = eps * steps[i]                        # (P, d)
@@ -122,15 +114,48 @@ def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
             d2w = vf.d2v0(z) * dt
             d2w += np.einsum("pabcj,pj->pabc", vf.d2v(z), x1)
             a = dw + 0.5 * (np.einsum("pabc,pb->pac", d2w, w) + dw @ dw)
-            J[:, i + 1] = J[:, i] + a @ J[:, i]
 
         z = z + (w + 0.5 * np.einsum("pab,pb->pa", dw, w))
         if not np.abs(z).max() <= BLOW_UP_GUARD:      # NaN fails it too
             raise BlowUpError(
                 f"state escaped |Z| <= {BLOW_UP_GUARD:g} at step {i + 1} "
                 "(step too coarse or field unbounded)", last_valid_step=i)
-        Z[i + 1] = z
+        yield z, a
 
+
+def solve_batch(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem,
+                z0, eps: float = 1.0, with_jacobian: bool = True) -> FlowState:
+    """Second-order one-step scheme over an ensemble of drivers, with the
+    whole trajectory stored.
+
+    ``level1``: (P, N, d) increments dx of the drivers' node values; step i
+    takes x^1 = eps dx, W = V0 dt + V x^1 and DW = DV0 dt + DV x^1 at the
+    current state and adds W + (1/2) DW W.  With the Jacobian, each step
+    forms A_i = DW + (1/2)(D2W[W] + DW DW), (P, n, n), with
+    D2W = D2V0 dt + D2V x^1, and updates J <- J + A_i J, so J is the exact
+    derivative of the discrete map.  Z is (P, N+1, n), J (P, N+1, n, n).
+
+    The steps run time-major: over the increments as a contiguous (N, P, d)
+    array, writing Z as (N+1, P, n), so each step reads and writes
+    contiguous rows; Z is returned as the (P, N+1, n) transposed view.
+    `paths.sample_increments` and `lift.lift_ensemble` return increments
+    whose (N, P, d) transpose is already contiguous, so they are read as
+    they are; any other layout is copied once per call.
+    """
+    P, N, _ = level1.shape
+    n = vf.n
+    flow = _steps(level1, grid, vf, z0, eps, with_jacobian)
+    z, _ = next(flow)               # the checks run before Z and J exist
+    Z = np.empty((N + 1, P, n))
+    Z[0] = z
+    J = None
+    if with_jacobian:
+        J = np.empty((P, N + 1, n, n))
+        J[:, 0] = np.eye(n)
+    for k, (z, a) in enumerate(flow, start=1):
+        Z[k] = z
+        if a is not None:
+            J[:, k] = J[:, k - 1] + a @ J[:, k - 1]
     return FlowState(grid=grid, Z=Z.transpose(1, 0, 2), J=J, eps=eps)
 
 

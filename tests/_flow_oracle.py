@@ -22,6 +22,10 @@ the sum, eps^2 J_t [sum_ij F_i M_ij F_j^T] J_t^T with F_s = J_s^-1 V(Z_s).
 `RK4SkeletonPropagator` is the skeleton before it became the scheme at
 eps = 1: an accurate solve of the ODE that the scheme discretizes, to
 which the scheme's skeleton converges as n^-2.
+
+`stored_reduce` is `density.monte_carlo_reduce` before its chunks kept one
+value per path while stepping: every eps stores the whole trajectory with
+`solve_batch`, and the collector reads it afterwards.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ import numpy as np
 
 from roughdensity.diagnostics import cell_rect_matrix
 from roughdensity.malliavin import _t_index
-from roughdensity.rde import BLOW_UP_GUARD, BlowUpError, FlowState, _as_state
+from roughdensity.paths import sample_increments
+from roughdensity.rde import (BLOW_UP_GUARD, BlowUpError, FlowState,
+                              _as_state, solve_batch)
 
 # RK4 substeps of the oracle skeleton per grid step.
 REFINE_FACTOR = 8
@@ -213,3 +219,22 @@ def rk4_skeleton(h, vf, z0, grid):
     prop = RK4SkeletonPropagator(h.kernel, vf, grid, h.nodes)
     phi, jac = prop.propagate(h.coeffs[None], z0)
     return FlowState(grid=grid, Z=phi[0], J=jac[0], eps=1.0)
+
+
+def stored_reduce(kernel, grid, vf, z0, eps_list, n_paths, seed,
+                  collect="terminal", t_node=None):
+    """One array per eps: ``Z[:, idx]`` or the max over nodes up to idx of
+    |Z - z0|, read from the stored trajectory of all ``n_paths`` paths."""
+    idx = grid.n_steps if t_node is None else grid.index_of(float(t_node))
+    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
+    level1 = sample_increments(kernel, grid, d=vf.d, n_paths=n_paths,
+                               seed=seed)
+    outs = []
+    for eps in eps_list:
+        Z = solve_batch(level1, grid, vf, z0, eps=eps, with_jacobian=False).Z
+        if collect == "terminal":
+            outs.append(Z[:, idx, :].copy())
+        else:
+            outs.append(np.linalg.norm(Z[:, :idx + 1, :] - z0,
+                                       axis=2).max(axis=1))
+    return outs

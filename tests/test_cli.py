@@ -717,18 +717,18 @@ def rate_function(y, *args, **kwargs):
         raise TargetUnreachableError(f"y={y}: pinned rate failure")
     return real(y, *args, **kwargs)
 
-real_solve = dens.solve_batch
+real_steps = dens._steps
 
-def solve_batch(*args, with_jacobian=True, **kwargs):
-    # the chunks solve without the Jacobian; the rate solves, which need
+def steps(*args, with_jacobian=True, **kwargs):
+    # the chunks step without the Jacobian; the rate solves, which need
     # it, run as they are
     if not with_jacobian:
         raise BlowUpError("pinned chunk blow-up", last_valid_step=3)
-    return real_solve(*args, with_jacobian=with_jacobian, **kwargs)
+    return real_steps(*args, with_jacobian=with_jacobian, **kwargs)
 
 dens.rate_function = rate_function
 if sys.argv[3] == "1":
-    dens.solve_batch = solve_batch
+    dens._steps = steps
 runs = []
 for workers in (1, 2):
     out = f"{sys.argv[4]}/workers{workers}"

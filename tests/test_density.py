@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
 from roughdensity.malliavin import deterministic_malliavin_matrix
 from roughdensity.paths import CMElement
 
+from _flow_oracle import stored_reduce
 from _kde_oracle import all_pairs_kde
 from _rate_oracle import (penalty_rate_function, scheme_terminal,
                           skeleton_terminal)
@@ -412,6 +414,11 @@ def test_kde_matches_all_pairs_oracle(dim):
     peak = 1.0 / (np.prod(h) * (2 * math.pi) ** (dim / 2))
     assert np.all(np.abs(p - p_all) <= 1e-14 * p_all
                   + peak * math.exp(-0.5 * dens.KDE_WINDOW ** 2))
+    # A point alone sorts only the samples its window reaches, and sums
+    # the same window in the same order as within the grid.
+    for k in np.flatnonzero(sure)[::97]:
+        p_k, se_k = kde_evaluate(samples, points[k:k + 1], h)
+        assert p_k[0] == p[k] and se_k[0] == se[k]
 
 
 def test_kde_empty_window_is_exact_zero():
@@ -456,6 +463,49 @@ def test_monte_carlo_reduce_chunking_invariant(monkeypatch):
             assert np.array_equal(reduce(1000, workers, collect), want)
             assert multiprocessing.active_children() == []
     assert forked == [2, 3, 2, 3]
+
+
+@pytest.mark.parametrize("t_node", [0.5, None], ids=["interior", "horizon"])
+@pytest.mark.parametrize("collect", ["terminal", "running_sup"])
+@pytest.mark.parametrize("vf, z0", [
+    (identity_field(1), [0.0]),
+    (bounded_nonlinear_field(), [0.1]),
+    (rotation_mix_field(), [0.1, -0.2]),
+], ids=["identity", "bounded_nonlinear", "rotation_mix"])
+def test_streamed_reduce_matches_stored_trajectory(monkeypatch, vf, z0,
+                                                   collect, t_node):
+    """Each chunk keeps one value per path while it steps; the oracle
+    stores every eps's trajectory and reads it afterwards.  Bit for bit on
+    1 and 2 workers, with 100-path chunks that split a 64-path block."""
+    kernel, grid = FractionalBrownian(0.4), TimeGrid.regular(64)
+    want = stored_reduce(kernel, grid, vf, z0, [0.25, 0.5], 300, seed=23,
+                         collect=collect, t_node=t_node)
+    monkeypatch.setattr(dens, "CHUNK_PATHS", 100)
+    for workers in (1, 2):
+        got = monte_carlo_reduce(kernel, grid, vf, z0, [0.25, 0.5], 300,
+                                 seed=23, collect=collect, t_node=t_node,
+                                 workers=workers)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("collect", ["terminal", "running_sup"])
+def test_chunk_memory_stays_near_the_increments_buffer(collect):
+    """One 16,384-path chunk at n = 64 and three eps keeps no trajectory:
+    its traced peak stays within 1.5x the (N, P, d) increments buffer
+    (a stored trajectory per eps alone would add another 1x)."""
+    n_paths, grid = 16384, TimeGrid.regular(64)
+    buffer = grid.n_steps * n_paths * 1 * 8
+    tracemalloc.start()
+    try:
+        monte_carlo_reduce(brownian(), grid, identity_field(1), [0.0],
+                           [0.25, 0.5, 1.0], n_paths, seed=3,
+                           collect=collect, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * buffer, peak / buffer
 
 
 def test_first_variation_samples_fork_on_the_worker_rule(monkeypatch):
