@@ -28,8 +28,7 @@ import numpy as np
 from .diagnostics import kappa
 from .fields import VectorFieldSystem, ellipticity_scan, NonEllipticError
 from .kernels import CovKernel, TimeGrid
-from .malliavin import (derivative_kernel, directional_derivative,
-                        malliavin_matrix)
+from .malliavin import derivative_kernel, malliavin_matrix
 from .paths import CMElement, cholesky_factor, sample_increments
 from .rde import (BlowUpError, CoarseGridError, FlowState, _steps,
                   solve_batch, solve_skeleton)
@@ -49,7 +48,8 @@ class NoiseFloorError(RuntimeError):
 
 
 class TargetUnreachableError(RuntimeError):
-    """No start reached y: A G^-1 A^T singular, or no convergence."""
+    """No start reached y: A A^T (the scheme's Malliavin matrix at eps = 1
+    over the grid driver) singular, or no convergence."""
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +438,8 @@ def tail_probability_check(kernel: CovKernel, vf: VectorFieldSystem, z0,
 # ---------------------------------------------------------------------------
 
 MAX_ITERATIONS = 100       # batched propagations, backtracking included
-SINGULAR_RTOL = 1e-12      # min/max eigenvalue of A G^-1 A^T below: singular
-STEP_RTOL = 1e-10          # converged: |step|_H <= STEP_RTOL (1 + |c|_H)
+SINGULAR_RTOL = 1e-12      # min/max eigenvalue of A A^T below: singular
+STEP_RTOL = 1e-10          # converged: |step| <= STEP_RTOL (1 + |u|)
 
 
 @dataclass
@@ -468,39 +468,41 @@ class RateFunctionResult:
                 "h_coeffs": self.h_opt.coeffs.tolist()}
 
 
-def _scheme_linearization(cs: np.ndarray, shifts: np.ndarray,
-                          grid: TimeGrid, vf: VectorFieldSystem, z0):
-    """Z and J of `solve_batch` at eps = 1 driven by the traces
-    sum_c cs[b, c] shifts[c] (coefficients (B, C), direction traces
-    (C, N+1, d)), and the terminal tangent dZ_N/dcs (B, n, C): one
-    `directional_derivative` call over the flow with a direction axis."""
-    level1 = np.einsum("bc,ctd->btd", cs, np.diff(shifts, axis=1))
-    flow = solve_batch(level1, grid, vf, z0)
-    along = FlowState(grid=grid, Z=flow.Z[:, None], J=flow.J[:, None],
-                      eps=1.0)
-    tangent = directional_derivative(along, vf, level1[:, None], shifts,
-                                     grid.n_steps)
-    return flow.Z, flow.J, np.swapaxes(tangent, 1, 2)
+def _increment_tangent(flow: FlowState, vf: VectorFieldSystem, level1):
+    """dZ_N/dx of flows at eps = 1 in their level-1 increments x, shape
+    (..., N, n, d): K_i = J_N J_{i+1}^-1 b_i with the step's own derivative
+    b_i e_k = V e_k + (1/2)(DV[., ., k] W + DW V e_k), the terms of
+    `directional_derivative` at h^1 = e_k."""
+    z = flow.Z[..., :-1, :]
+    dt = flow.grid.dts[:, None]
+    v, dv = vf.v(z), vf.dv(z)
+    w = vf.v0(z) * dt
+    w += np.einsum("...sad,...sd->...sa", v, level1)
+    dw = vf.dv0(z) * dt[..., None]
+    dw += np.einsum("...sabj,...sj->...sab", dv, level1)
+    b = v + 0.5 * (np.einsum("...sabk,...sb->...sak", dv, w) + dw @ v)
+    return flow.J[..., -1:, :, :] @ (np.linalg.inv(flow.J[..., 1:, :, :]) @ b)
 
 
 def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
-                  grid: TimeGrid | None = None, m_nodes: int = 16,
-                  tol: float = 1e-6, n_starts: int = 5, seed: int = 0,
+                  grid: TimeGrid | None = None, tol: float = 1e-6,
+                  n_starts: int = 5, seed: int = 0,
                   elliptic_gate: bool = True) -> RateFunctionResult:
     """Minimize (1/2)|h|^2_H subject to the scheme reaching y: Gauss-Newton
-    on the KKT system.  The constraint map Phi(c) is `solve_batch`'s Z_N at
-    eps = 1 driven by h = sum_i c_i R(s_i, .) (``m_nodes`` equispaced
-    nodes) on ``grid``: the map a Monte-Carlo sweep on ``grid`` samples,
-    so d2 is its small-noise rate (contraction principle).  With node Gram
-    G and the tangent A = dPhi/dc (exact for the discrete map), each step
-    goes to the minimum-norm point of the linearized constraint,
-    c+ = G^-1 A^T (A G^-1 A^T)^-1 (y - Phi(c) + A c), whose fixed points are
-    the KKT points; the step needs A G^-1 A^T, the scheme's Malliavin
-    matrix compressed to span{R(s_i, .)}, non-degenerate.  Steps backtrack
-    on |Phi - y| (a trial is kept if it lowers it or stays below tol/10,
-    and halves its step if the scheme refuses it).  ``n_starts`` seeded
-    starts iterate as one batch; the feasible minimizer of least energy
-    wins (ties: lowest start index)."""
+    on the KKT system over every grid increment of the driver, in the
+    sampler's coordinates: increments x = D L u with L = `cholesky_factor`
+    on ``grid``, energy (1/2)|u|^2.  The constraint map Phi(u) is
+    `solve_batch`'s Z_N at eps = 1 driven by x, the map a Monte-Carlo sweep
+    on ``grid`` samples, so d2 is its small-noise rate (contraction
+    principle).  With the tangent A = K D L (K from `_increment_tangent`,
+    exact for the discrete map) each step goes to the minimum-norm point of
+    the linearized constraint, u+ = A^T (A A^T)^-1 (y - Phi(u) + A u); it
+    needs A A^T, the scheme's Malliavin matrix, non-degenerate.  Steps
+    backtrack on |Phi - y| (a trial is kept if it lowers it or stays below
+    tol/10, and halves its step if the scheme refuses it).  ``n_starts``
+    seeded starts iterate as one batch; the feasible minimizer of least
+    energy wins (ties: lowest start index).  h_opt sits on t_1 .. t_N with
+    coefficients L^-T u, so |h_opt|^2_H = |u|^2."""
     if elliptic_gate:
         lam = vf.elliptic_lambda
         if lam is None:
@@ -513,38 +515,36 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if y_arr.shape != (vf.n,):
         raise ValueError("target dimension mismatch")
-    m, d = m_nodes, vf.d
-    nodes = grid.horizon * np.arange(1, m + 1) / m
-    gram = np.atleast_2d(kernel.eval(nodes[:, None], nodes[None, :]))
-    # Gram and inverse Gram of the flattened coefficients c.ravel()
-    gram_c = np.kron(gram, np.eye(d))
-    gram_c_inv = np.kron(np.linalg.pinv(gram, hermitian=True), np.eye(d))
-    # the basis directions R(s_i, .) e_k on the grid, (m d, N+1, d)
-    traces = np.atleast_2d(kernel.eval(nodes[:, None], grid.nodes[None, :]))
-    shifts = np.einsum("it,kl->iktl", traces, np.eye(d)).reshape(m * d, -1, d)
+    N, d = grid.n_steps, vf.d
+    chol = cholesky_factor(kernel, grid)
+    dl = np.diff(chol, axis=0, prepend=0.0)       # D L: x = dl @ u
 
-    def h_norm(cs):
-        return np.sqrt(np.einsum("bi,ij,bj->b", cs, gram_c, cs))
+    def linearize(us):
+        x = np.einsum("ij,bjk->bik", dl, us.reshape(-1, N, d))
+        flow = solve_batch(x, grid, vf, z0)
+        a = np.einsum("bink,ij->bnjk", _increment_tangent(flow, vf, x), dl)
+        return flow.Z, flow.J, a.reshape(len(us), vf.n, N * d)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    c = 0.1 * rng.standard_normal((n_starts, m * d))
-    phi, jac, tangent = _scheme_linearization(c, shifts, grid, vf, z0)
+    u = 0.1 * rng.standard_normal((n_starts, N * d))
+    phi, jac, tangent = linearize(u)
     step = np.ones(n_starts)
     history = [[] for _ in range(n_starts)]
     converged, singular = [], []
     active = np.arange(n_starts)
     for _ in range(MAX_ITERATIONS):
-        a, r, c_act = tangent[active], phi[active, -1] - y_arr, c[active]
-        a_ginv = np.einsum("ij,baj->bia", gram_c_inv, a)
-        s_mat = a @ a_ginv
+        a, r, u_act = tangent[active], phi[active, -1] - y_arr, u[active]
+        a_t = np.swapaxes(a, 1, 2)
+        s_mat = a @ a_t
         eig = np.linalg.eigvalsh(s_mat)
         bad = ~(eig[:, 0] > SINGULAR_RTOL * eig[:, -1])
         s_mat[bad] = np.eye(vf.n)
-        rhs = (np.einsum("bai,bi->ba", a, c_act) - r)[..., None]
-        delta = (a_ginv @ np.linalg.solve(s_mat, rhs))[..., 0] - c_act
+        rhs = (np.einsum("bai,bi->ba", a, u_act) - r)[..., None]
+        delta = (a_t @ np.linalg.solve(s_mat, rhs))[..., 0] - u_act
         resid = np.linalg.norm(r, axis=1)
         done = ~bad & (resid <= tol) & (
-            h_norm(delta) <= STEP_RTOL * (1.0 + h_norm(c_act)))
+            np.linalg.norm(delta, axis=1)
+            <= STEP_RTOL * (1.0 + np.linalg.norm(u_act, axis=1)))
         singular += list(active[bad])
         converged += list(active[done])
         keep = ~(bad | done)
@@ -552,10 +552,9 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                                      resid[keep])
         if active.size == 0:
             break
-        trial = c[active] + step[active, None] * delta
+        trial = u[active] + step[active, None] * delta
         try:
-            phi_t, jac_t, tan_t = _scheme_linearization(trial, shifts, grid,
-                                                        vf, z0)
+            phi_t, jac_t, tan_t = linearize(trial)
         except (BlowUpError, CoarseGridError):  # the whole batch backtracks
             step[active] *= 0.5
             continue
@@ -567,17 +566,18 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                                          "step": float(step[active[row]]),
                                          "min_eig": float(eig[row, 0])})
         hit = active[ok]
-        c[hit], phi[hit], jac[hit] = trial[ok], phi_t[ok], jac_t[ok]
+        u[hit], phi[hit], jac[hit] = trial[ok], phi_t[ok], jac_t[ok]
         tangent[hit] = tan_t[ok]
         step[active] = np.where(ok, 1.0, 0.5 * step[active])
 
     if not converged:
-        why = ("A G^-1 A^T is singular" if singular else
+        why = ("A A^T is singular" if singular else
                f"no convergence in {MAX_ITERATIONS} iterations")
         raise TargetUnreachableError(f"y={y_arr.tolist()}: {why}")
-    energy = 0.5 * h_norm(c) ** 2
+    energy = 0.5 * np.einsum("bi,bi->b", u, u)
     s_idx = min(converged, key=lambda s: (energy[s], s))
-    h_opt = CMElement(kernel, nodes, c[s_idx].reshape(m, d))
+    h_opt = CMElement(kernel, grid.nodes[1:],
+                      np.linalg.solve(chol.T, u[s_idx].reshape(N, d)))
     # the winner's last linearization already carries its flow
     flow = FlowState(grid=grid, Z=phi[s_idx], J=jac[s_idx], eps=1.0)
     gamma = malliavin_matrix(flow, vf, kernel, grid.n_steps)
@@ -643,12 +643,13 @@ def varadhan_sweep(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
 def varadhan_check(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                    eps_list, n_paths: int, seed: int,
                    grid: TimeGrid | None = None, workers: int | None = None,
-                   m_nodes: int = 16, tol: float = 1e-6, n_starts: int = 5
+                   tol: float = 1e-6, n_starts: int = 5
                    ) -> tuple[RateFunctionResult, VaradhanSweep]:
     """The small-noise program at one target y: ``(rate, sweep)`` with
-    ``rate = rate_function(y, ..., grid=, m_nodes=, tol=, n_starts=,
-    seed=)`` and ``sweep`` as `varadhan_sweep` gives it with d2 = rate.d2,
-    both on ``grid``: d^2(y) is the rate of the scheme the sweep samples.
+    ``rate = rate_function(y, ..., grid=, tol=, n_starts=, seed=)`` and
+    ``sweep`` as `varadhan_sweep` gives it with d2 = rate.d2, both on
+    ``grid``: d^2(y), a minimum over every grid increment of the driver,
+    is the rate of the scheme the sweep samples.
 
     d^2(y) is solved in this process while the sweep's chunks run (in
     forked workers when ``workers``, as in `monte_carlo_reduce`, comes to
@@ -661,8 +662,7 @@ def varadhan_check(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     rate = []
 
     def solve_rate():
-        rate.append(rate_function(y, kernel, vf, z0, grid=grid,
-                                  m_nodes=m_nodes, tol=tol,
+        rate.append(rate_function(y, kernel, vf, z0, grid=grid, tol=tol,
                                   n_starts=n_starts, seed=seed))
 
     terminals = monte_carlo_reduce(kernel, grid, vf, z0, eps_arr, n_paths,

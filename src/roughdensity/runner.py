@@ -324,8 +324,7 @@ def _exp_varadhan(config, kernel, grid, vf, out_dir, workers, gate):
         rate, sweep = varadhan_check(
             y_vec, kernel, vf, z0, eps_list=eps_list,
             n_paths=config.get("n_paths", 100_000), seed=seed, grid=grid,
-            workers=workers, m_nodes=config.get("m_nodes", 16), tol=tol,
-            n_starts=config.get("n_starts", 5))
+            workers=workers, tol=tol, n_starts=config.get("n_starts", 5))
         for e, s, ok in zip(sweep.eps_list, sweep.scaled, sweep.trusted):
             rows.append([y_vec[0] if len(y_vec) == 1 else json.dumps(y_vec),
                          e, s, ok])

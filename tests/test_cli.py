@@ -404,7 +404,7 @@ def test_noise_floor_report_keeps_gate(tmp_path):
     config = {"kernel": {"family": "fbm", "H": 0.5, "T": 1.0},
               "grid": {"n_steps": 16}, "vf": {"name": "identity"},
               "experiment": "varadhan", "n_paths": 50, "y_targets": [3.0],
-              "m_nodes": 4, "n_starts": 1, "seed": 0}
+              "n_starts": 1, "seed": 0}
     cfg = write_config(tmp_path, config)
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FAIL
@@ -494,7 +494,7 @@ unused = sorted(m for m in sys.modules
 assert run(json.loads(sys.argv[1]), sys.argv[2]) == 0
 hypotheses_ma = "numpy.ma" in sys.modules
 rate_function([0.5], FractionalBrownian(0.4), identity_field(1), [0.0],
-              grid=TimeGrid.regular(32), m_nodes=4, n_starts=1)
+              grid=TimeGrid.regular(32), n_starts=1)
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 FractionalOU(0.4, 1.0)
 print(json.dumps([pools, loaded, unused, hypotheses_ma,
@@ -515,8 +515,7 @@ VARADHAN_SMALL = {
     "grid": {"n_steps": 64},
     "vf": {"name": "identity", "params": {"n": 1}},
     "experiment": "varadhan", "seed": 13, "n_paths": 30000,
-    "y_targets": [0.5], "eps_list": [0.5, 0.4, 0.3],
-    "m_nodes": 8, "n_starts": 2,
+    "y_targets": [0.5], "eps_list": [0.5, 0.4, 0.3], "n_starts": 2,
     "thresholds": {"varadhan_gap": 0.1},
 }
 
@@ -526,7 +525,7 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     # the import, a gated audit run and small gated tails and varadhan runs
     # load no jsonschema, importlib.metadata or numpy.ma; a hypotheses run
     # loads no numpy.ma either; with it and a rate-function solve (the
-    # scheme's flow and its broadcast tangent) added, still no scipy module
+    # scheme's flow and its per-increment tangent) added, still no scipy module
     # is loaded; the fOU kernel's quadrature loads scipy
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(HYP_OK),
@@ -658,6 +657,19 @@ def test_varadhan_experiment(tmp_path):
     assert f"({n_iter} iterations)" in summarize(str(out))
 
 
+def test_m_nodes_is_accepted_and_ignored(tmp_path):
+    # the rate function minimizes over every grid increment, so the node
+    # count of the earlier span solve is a valid key that changes nothing
+    entries = []
+    for i, config in enumerate([VARADHAN_SMALL,
+                                dict(VARADHAN_SMALL, m_nodes=8)]):
+        out = tmp_path / f"out{i}"
+        assert run(config, str(out)) == EXIT_PASS
+        report = json.loads((out / "report.json").read_text())
+        entries.append(report["result"]["targets"][0]["rate_function"])
+    assert entries[0] == entries[1]
+
+
 @pytest.mark.parametrize("horizon, y", [(2.0, 0.6), (0.5, 0.3)])
 def test_varadhan_sweep_at_kernel_horizon(tmp_path, horizon, y):
     """The sweep evaluates the density at the horizon T, the time the rate
@@ -665,7 +677,7 @@ def test_varadhan_sweep_at_kernel_horizon(tmp_path, horizon, y):
     config = {"kernel": {"family": "fbm", "H": 0.5, "T": horizon},
               "grid": {"n_steps": 64}, "vf": {"name": "identity"},
               "experiment": "varadhan", "y_targets": [y],
-              "n_paths": 65536, "m_nodes": 8, "n_starts": 1, "seed": 3}
+              "n_paths": 65536, "n_starts": 1, "seed": 3}
     out = tmp_path / "out"
     assert run(config, str(out)) == EXIT_PASS
     target = json.loads((out / "report.json").read_text())[

@@ -35,13 +35,15 @@ from roughdensity.fields import (
     scalar_linear_field,
 )
 from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
-from roughdensity.malliavin import deterministic_malliavin_matrix
+from roughdensity.malliavin import (deterministic_malliavin_matrix,
+                                   directional_derivative)
 from roughdensity.paths import CMElement
+from roughdensity.rde import solve_batch
 
 from _flow_oracle import stored_reduce
 from _kde_oracle import all_pairs_kde
-from _rate_oracle import (penalty_rate_function, scheme_terminal,
-                          skeleton_terminal)
+from _rate_oracle import (node_rate_function, penalty_rate_function,
+                          scheme_terminal, skeleton_terminal)
 
 
 def gaussian_density(y, mean, var):
@@ -247,20 +249,21 @@ def test_rate_function_rejects_non_elliptic():
 
 def test_rate_function_unreachable_target():
     # From z0 = 0 the linear field keeps the skeleton at 0 for every h, so
-    # A G^-1 A^T vanishes and no step towards y = 1 exists.
+    # A A^T vanishes and no step towards y = 1 exists.
     with pytest.raises(TargetUnreachableError):
         rate_function([1.0], brownian(), scalar_linear_field(1.0), [0.0],
                       seed=0, elliptic_gate=False)
 
 
 def test_rate_function_matches_penalty_oracle():
-    # the oracle minimizes over the same constraint map, the scheme
+    # both oracles minimize over the same constraint map, the scheme, and
+    # the same subspace, span{R(s_i, .)} on 4 nodes
     kernel, vf = FractionalBrownian(0.4), bounded_nonlinear_field()
     want = penalty_rate_function([1.0], kernel, vf, [0.0], scheme_terminal,
                                  m_nodes=4, n_starts=1, seed=0)
     assert want is not None
-    res = rate_function([1.0], kernel, vf, [0.0], m_nodes=4, n_starts=1,
-                        seed=0)
+    res = node_rate_function([1.0], kernel, vf, [0.0], m_nodes=4,
+                             n_starts=1, seed=0)
     assert res.d2 == pytest.approx(want[0], abs=1e-6)
     assert res.residual <= 1e-12
     assert res.accepted
@@ -281,14 +284,15 @@ def test_scheme_rate_matches_skeleton_oracle():
     # the RK4 skeleton accurately solves the ODE that the scheme
     # discretizes (both driven by h's piecewise-linear grid interpolation);
     # its rate, by the penalty oracle, is the limit the scheme's rate
-    # approaches as n^-2
+    # approaches as n^-2, on the same 4-node subspace
     kernel, vf, n = FractionalBrownian(0.4), bounded_nonlinear_field(), 64
     want = penalty_rate_function([1.0], kernel, vf, [0.0], skeleton_terminal,
                                  grid=TimeGrid.regular(n), m_nodes=4,
                                  n_starts=1, seed=0)
     assert want is not None
-    res = rate_function([1.0], kernel, vf, [0.0], grid=TimeGrid.regular(n),
-                        m_nodes=4, n_starts=1, seed=0)
+    res = node_rate_function([1.0], kernel, vf, [0.0],
+                             grid=TimeGrid.regular(n), m_nodes=4, n_starts=1,
+                             seed=0)
     assert abs(res.d2 - want[0]) <= 0.1 / n ** 2
 
 
@@ -305,10 +309,50 @@ def test_rate_gamma_is_the_deterministic_matrix(vf, y, z0):
     assert np.abs(got - res.gamma).max() <= 1e-13 * np.abs(res.gamma).max()
 
 
+@pytest.mark.parametrize("vf, y", [
+    (bounded_nonlinear_field(), [1.0]),
+    (rotation_mix_field(), [0.5, 0.3]),
+], ids=["bounded_nonlinear", "rotation_mix"])
+def test_rate_function_matches_node_oracle(vf, y):
+    # at m = N nodes the oracle's span reaches every grid driver, so both
+    # solve one problem; at fewer nodes the oracle minimizes over a
+    # subspace, and the rate over every increment is never above it
+    kernel, grid = FractionalBrownian(0.4), TimeGrid.regular(64)
+    z0 = [0.0] * vf.n
+    res = rate_function(y, kernel, vf, z0, grid=grid, seed=3)
+    want = node_rate_function(y, kernel, vf, z0, grid=grid, m_nodes=64,
+                              seed=3)
+    assert abs(res.d2 - want.d2) <= 1e-12 * want.d2
+    for m in (4, 8, 16):
+        coarse = node_rate_function(y, kernel, vf, z0, grid=grid, m_nodes=m,
+                                    seed=3)
+        assert res.d2 <= coarse.d2 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("vf, z0", [
+    (bounded_nonlinear_field(), [0.1]),
+    (rotation_mix_field(), [0.2, -0.1]),
+], ids=["bounded_nonlinear", "rotation_mix"])
+def test_increment_tangent_matches_directional_derivative(vf, z0, n):
+    # the rate function's per-increment tangent, paired with a direction's
+    # increments h^1, is `directional_derivative` along that direction
+    grid = TimeGrid.regular(n)
+    rng = np.random.default_rng(41)
+    level1 = rng.standard_normal((3, n, vf.d)) / math.sqrt(n)
+    h1 = rng.standard_normal((3, n, vf.d)) / math.sqrt(n)
+    shift = np.concatenate([np.zeros((3, 1, vf.d)), h1.cumsum(axis=1)],
+                           axis=1)
+    flow = solve_batch(level1, grid, vf, z0)
+    got = np.einsum("bink,bik->bn", dens._increment_tangent(flow, vf, level1),
+                    h1)
+    want = directional_derivative(flow, vf, level1, shift, n)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_rate_function_reports_iterations():
     res = rate_function([1.0], FractionalBrownian(0.4),
-                        bounded_nonlinear_field(), [0.0], m_nodes=4,
-                        n_starts=3, seed=2)
+                        bounded_nonlinear_field(), [0.0], n_starts=3, seed=2)
     steps = res.iterations
     assert len(steps) >= 2
     assert steps[-1]["residual"] == res.residual

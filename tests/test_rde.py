@@ -10,7 +10,7 @@ from roughdensity.fields import (
     rotation_mix_field,
     scalar_linear_field,
 )
-from roughdensity.density import _scheme_linearization
+from roughdensity.density import _increment_tangent
 from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
 from roughdensity.lift import lift, lift_ensemble
 from roughdensity.paths import CMElement, cm_eval, sample
@@ -287,31 +287,29 @@ def test_skeleton_propagator_batches_match_single():
     (bounded_nonlinear_field(), [0.1]),
 ], ids=["rotation_mix", "bounded_nonlinear"])
 def test_scheme_tangent_matches_finite_difference(vf, z0):
-    """The rate function's tangent dZ_N/dc, one `directional_derivative`
-    call broadcast over the basis directions R(s_i, .) e_k, against central
+    """The rate function's tangent dZ_N/dx in every level-1 increment of
+    the driver, one adjoint product of the flow, against central
     differences of `solve_batch`'s terminal map."""
     grid = TimeGrid.regular(64)
-    m, d = 8, vf.d
+    m, n, d = 8, grid.n_steps, vf.d
     nodes = np.linspace(1 / m, 1.0, m)
     traces = FractionalBrownian(0.4).eval(nodes[:, None], grid.nodes[None, :])
-    shifts = np.einsum("it,kl->iktl", traces, np.eye(d)).reshape(
-        m * d, grid.n_steps + 1, d)
-    coeffs = 0.7 * np.random.default_rng(23).standard_normal((3, m * d))
-    z, _, tangent = _scheme_linearization(coeffs, shifts, grid, vf, z0)
-    assert tangent.shape == (3, vf.n, m * d)
+    coeffs = 0.7 * np.random.default_rng(23).standard_normal((3, m, d))
+    level1 = np.einsum("bmd,mt->btd", coeffs, np.diff(traces, axis=1))
+    flow = solve_batch(level1, grid, vf, z0)
+    tangent = _increment_tangent(flow, vf, level1)
+    assert tangent.shape == (3, n, vf.n, d)
 
-    def terminal(cs):
-        level1 = np.einsum("bc,ctd->btd", cs, np.diff(shifts, axis=1))
-        return solve_batch(level1, grid, vf, z0, with_jacobian=False).Z[:, -1]
-
-    np.testing.assert_array_equal(z[:, -1], terminal(coeffs))
     step = 1e-5
-    for j in range(m * d):
-        bump = np.zeros_like(coeffs)
-        bump[:, j] = step
-        fd = (terminal(coeffs + bump) - terminal(coeffs - bump)) / (2 * step)
-        np.testing.assert_allclose(tangent[:, :, j], fd, rtol=1e-6,
-                                   atol=1e-6 * np.abs(fd).max())
+    bumps = step * np.eye(n * d).reshape(n * d, n, d)
+    trials = np.concatenate([level1[:, None] + bumps, level1[:, None] - bumps],
+                            axis=1).reshape(-1, n, d)
+    z = solve_batch(trials, grid, vf, z0, with_jacobian=False).Z[:, -1]
+    z = z.reshape(3, 2, n * d, vf.n)
+    fd = (z[:, 0] - z[:, 1]) / (2 * step)              # (3, n d, vf.n)
+    got = tangent.transpose(0, 1, 3, 2).reshape(3, n * d, vf.n)
+    np.testing.assert_allclose(got, fd, rtol=1e-6,
+                               atol=1e-6 * np.abs(fd).max())
 
 
 def test_skeleton_is_exact_through_a_kink_at_a_grid_node():
