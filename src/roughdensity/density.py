@@ -14,7 +14,8 @@ into a time-major buffer that every eps reads without a copy; the solver
 forms each step's level 2 itself.  A chunk steps each eps once and keeps
 only its collector's value per path, never a stored trajectory.
 `varadhan_check` solves the rate function d^2(y) in this process while the
-chunks of its sweep run in the workers.
+chunks of its sweep run in the workers; the rate function's tangent is
+`malliavin`'s increment tangent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .diagnostics import kappa
 from .fields import VectorFieldSystem, ellipticity_scan, NonEllipticError
 from .kernels import CovKernel, TimeGrid
-from .malliavin import derivative_kernel, malliavin_matrix
+from .malliavin import _increment_tangent, derivative_kernel, malliavin_matrix
 from .paths import CMElement, cholesky_factor, sample_increments
 from .rde import (BlowUpError, CoarseGridError, FlowState, _steps,
                   solve_batch, solve_skeleton)
@@ -468,22 +469,6 @@ class RateFunctionResult:
                 "h_coeffs": self.h_opt.coeffs.tolist()}
 
 
-def _increment_tangent(flow: FlowState, vf: VectorFieldSystem, level1):
-    """dZ_N/dx of flows at eps = 1 in their level-1 increments x, shape
-    (..., N, n, d): K_i = J_N J_{i+1}^-1 b_i with the step's own derivative
-    b_i e_k = V e_k + (1/2)(DV[., ., k] W + DW V e_k), the terms of
-    `directional_derivative` at h^1 = e_k."""
-    z = flow.Z[..., :-1, :]
-    dt = flow.grid.dts[:, None]
-    v, dv = vf.v(z), vf.dv(z)
-    w = vf.v0(z) * dt
-    w += np.einsum("...sad,...sd->...sa", v, level1)
-    dw = vf.dv0(z) * dt[..., None]
-    dw += np.einsum("...sabj,...sj->...sab", dv, level1)
-    b = v + 0.5 * (np.einsum("...sabk,...sb->...sak", dv, w) + dw @ v)
-    return flow.J[..., -1:, :, :] @ (np.linalg.inv(flow.J[..., 1:, :, :]) @ b)
-
-
 def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                   grid: TimeGrid | None = None, tol: float = 1e-6,
                   n_starts: int = 5, seed: int = 0,
@@ -494,10 +479,11 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     on ``grid``, energy (1/2)|u|^2.  The constraint map Phi(u) is
     `solve_batch`'s Z_N at eps = 1 driven by x, the map a Monte-Carlo sweep
     on ``grid`` samples, so d2 is its small-noise rate (contraction
-    principle).  With the tangent A = K D L (K from `_increment_tangent`,
-    exact for the discrete map) each step goes to the minimum-norm point of
-    the linearized constraint, u+ = A^T (A A^T)^-1 (y - Phi(u) + A u); it
-    needs A A^T, the scheme's Malliavin matrix, non-degenerate.  Steps
+    principle).  With the tangent A = K D L (K = J_N `_increment_tangent`
+    along every increment direction, exact for the discrete map) each step
+    goes to the minimum-norm point of the linearized constraint, u+ =
+    A^T (A A^T)^-1 (y - Phi(u) + A u); it needs A A^T, the scheme's
+    Malliavin matrix, non-degenerate.  Steps
     backtrack on |Phi - y| (a trial is kept if it lowers it or stays below
     tol/10, and halves its step if the scheme refuses it).  ``n_starts``
     seeded starts iterate as one batch; the feasible minimizer of least
@@ -518,11 +504,13 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     N, d = grid.n_steps, vf.d
     chol = cholesky_factor(kernel, grid)
     dl = np.diff(chol, axis=0, prepend=0.0)       # D L: x = dl @ u
+    eye = np.broadcast_to(np.eye(d), (N, d, d))   # every increment direction
 
     def linearize(us):
         x = np.einsum("ij,bjk->bik", dl, us.reshape(-1, N, d))
         flow = solve_batch(x, grid, vf, z0)
-        a = np.einsum("bink,ij->bnjk", _increment_tangent(flow, vf, x), dl)
+        k = flow.J[:, -1:] @ _increment_tangent(flow, vf, x, eye, N)
+        a = np.einsum("bink,ij->bnjk", k, dl)
         return flow.Z, flow.J, a.reshape(len(us), vf.n, N * d)
 
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -1,5 +1,9 @@
 """Malliavin derivative kernels and matrices for solved flows.
 
+The scheme's step derivative along the driver is written once, in
+`_increment_tangent`; the directional derivative and the rate function's
+tangent are both contractions of it.
+
 The derivative kernel of the terminal state is J_t J_s^{-1} V(Z_s); the
 matrix assembles the 2D Riemann-Stieltjes pairing of that kernel with
 itself against the covariance increments (left-endpoint cells), which is
@@ -62,6 +66,28 @@ def derivative_kernel(flow: FlowState, vf: VectorFieldSystem,
                        @ vf.v(flow.Z[..., : idx + 1, :]))
 
 
+def _increment_tangent(flow: FlowState, vf: VectorFieldSystem, level1,
+                       h: np.ndarray, idx: int) -> np.ndarray:
+    """J_{s+1}^-1 b_s(h) for the steps s < idx, shape (..., idx, n, m):
+    step s adds W + (1/2) DW W with W = V0 dt + V x^1 and x^1 = eps dx
+    (``level1`` holds dx, (..., N, d)), so its derivative along each of the
+    m driver directions h, (..., idx, d, m), is b_s(h) = V h + (1/2)(DV[h] W
+    + DW V h).  J is the exact derivative of the step map, so J_t times
+    this is the exact derivative of Z_t along step s's h."""
+    z = flow.Z[..., :idx, :]
+    dt = flow.grid.dts[:idx, None]
+    x1 = flow.eps * level1[..., :idx, :]
+    v, dv = vf.v(z), vf.dv(z)
+    w = vf.v0(z) * dt
+    w += np.einsum("...sad,...sd->...sa", v, x1)
+    dw = vf.dv0(z) * dt[..., None]
+    dw += np.einsum("...sabj,...sj->...sab", dv, x1)
+    vh = v @ h
+    dvh = np.einsum("...sabj,...sjk->...sabk", dv, h)
+    b = vh + 0.5 * (np.einsum("...sabk,...sb->...sak", dvh, w) + dw @ vh)
+    return np.linalg.inv(flow.J[..., 1: idx + 1, :, :]) @ b
+
+
 def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
                            level1: np.ndarray, shift: np.ndarray,
                            t_node) -> np.ndarray:
@@ -69,38 +95,17 @@ def directional_derivative(flow: FlowState, vf: VectorFieldSystem,
 
     ``level1`` holds the driver's level-1 increments (..., N, d) and
     ``shift`` the trace of h at the grid nodes (..., N+1, d), so each flow
-    of a batch can have its own h.  Step s of the flow solver adds
-    W + (1/2) DW W with W = V0 dt + V x^1; its derivative along the driver
-    increment h^1 = eps dh is b_s = dW + (1/2)(dDW W + DW dW), with
-    dW = V h^1 and dDW = DV h^1.  The flow's J is the exact derivative of the
-    discrete step map, so J_t J_{s+1}^-1 is the exact derivative of Z_t in
-    Z_{s+1} and sum_s J_t J_{s+1}^-1 b_s is the exact adjoint of the discrete
-    flow map, up to round-off; it matches the continuous pairing to scheme
-    order.
+    of a batch can have its own h.  The increment tangent along h^1 =
+    eps dh, summed over the steps before t and carried to t by J_t, is the
+    exact adjoint of the discrete flow map up to round-off; it matches the
+    continuous pairing to scheme order.
     """
     if flow.J is None:
         raise ValueError("flow was solved without the Jacobian")
     idx = _t_index(flow.grid, t_node)
-    if idx == 0:
-        return np.zeros(flow.Z.shape[:-2] + (vf.n,))
-    eps = flow.eps
-    dt = flow.grid.dts[:idx, None]
-    x1 = eps * level1[..., :idx, :]
-    h1 = eps * np.diff(shift[..., : idx + 1, :], axis=-2)
-    z = flow.Z[..., :idx, :]
-    v, dv = vf.v(z), vf.dv(z)
-    w = vf.v0(z) * dt
-    w += np.einsum("...sad,...sd->...sa", v, x1)
-    dw = vf.dv0(z) * dt[..., None]
-    dw += np.einsum("...sabj,...sj->...sab", dv, x1)
-    dw_h = np.einsum("...sad,...sd->...sa", v, h1)
-    ddw_h = np.einsum("...sabj,...sj->...sab", dv, h1)
-    b = dw_h + 0.5 * (np.einsum("...sab,...sb->...sa", ddw_h, w)
-                      + np.einsum("...sab,...sb->...sa", dw, dw_h))
-    pulled = np.einsum("...sbc,...sc->...sb",
-                       np.linalg.inv(flow.J[..., 1: idx + 1, :, :]),
-                       b).sum(axis=-2)
-    return np.einsum("...ab,...b->...a", flow.J[..., idx, :, :], pulled)
+    h1 = flow.eps * np.diff(shift[..., : idx + 1, :], axis=-2)
+    tangent = _increment_tangent(flow, vf, level1, h1[..., None], idx)
+    return (flow.J[..., idx, :, :] @ tangent.sum(axis=-3))[..., 0]
 
 
 def malliavin_matrix(flow: FlowState, vf: VectorFieldSystem,

@@ -179,7 +179,9 @@ class SkeletonPropagator:
     driven by h's grid increments.
 
     h is linear in its coefficients, so its basis traces R(s_m, .) on the
-    grid are computed once and reused for every evaluation.
+    grid are computed once per propagator; `solve_skeleton` makes one per
+    call, and the class stays because `perfbench/spans.py` wraps
+    `propagate`.
     """
 
     def __init__(self, kernel, vf: VectorFieldSystem, grid: TimeGrid,

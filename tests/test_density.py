@@ -35,12 +35,12 @@ from roughdensity.fields import (
     scalar_linear_field,
 )
 from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
-from roughdensity.malliavin import (deterministic_malliavin_matrix,
-                                   directional_derivative)
+from roughdensity.malliavin import (_increment_tangent,
+                                   deterministic_malliavin_matrix)
 from roughdensity.paths import CMElement
 from roughdensity.rde import solve_batch
 
-from _flow_oracle import stored_reduce
+from _flow_oracle import stored_reduce, term_by_term_directional_derivative
 from _kde_oracle import all_pairs_kde
 from _rate_oracle import (node_rate_function, penalty_rate_function,
                           scheme_terminal, skeleton_terminal)
@@ -336,7 +336,7 @@ def test_rate_function_matches_node_oracle(vf, y):
 ], ids=["bounded_nonlinear", "rotation_mix"])
 def test_increment_tangent_matches_directional_derivative(vf, z0, n):
     # the rate function's per-increment tangent, paired with a direction's
-    # increments h^1, is `directional_derivative` along that direction
+    # increments h^1, is the term-by-term directional derivative along it
     grid = TimeGrid.regular(n)
     rng = np.random.default_rng(41)
     level1 = rng.standard_normal((3, n, vf.d)) / math.sqrt(n)
@@ -344,9 +344,10 @@ def test_increment_tangent_matches_directional_derivative(vf, z0, n):
     shift = np.concatenate([np.zeros((3, 1, vf.d)), h1.cumsum(axis=1)],
                            axis=1)
     flow = solve_batch(level1, grid, vf, z0)
-    got = np.einsum("bink,bik->bn", dens._increment_tangent(flow, vf, level1),
-                    h1)
-    want = directional_derivative(flow, vf, level1, shift, n)
+    eye = np.broadcast_to(np.eye(vf.d), (n, vf.d, vf.d))
+    tangent = flow.J[:, -1:] @ _increment_tangent(flow, vf, level1, eye, n)
+    got = np.einsum("bink,bik->bn", tangent, h1)
+    want = term_by_term_directional_derivative(flow, vf, level1, shift, n)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

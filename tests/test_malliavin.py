@@ -187,6 +187,19 @@ def test_matrix_at_time_zero_is_zero():
     assert np.all(got == 0.0)
 
 
+def test_kernel_and_directional_derivative_need_the_jacobian():
+    k = FractionalBrownian(0.4)
+    vf = bounded_nonlinear_field()
+    grid = TimeGrid.regular(32)
+    vals = sample(k, grid, d=1, n_paths=1, seed=3).path(0)
+    flow = solve(vals, grid, vf, z0=[0.1], with_jacobian=False)
+    with pytest.raises(ValueError, match="without the Jacobian"):
+        derivative_kernel(flow, vf, 1.0)
+    with pytest.raises(ValueError, match="without the Jacobian"):
+        directional_derivative(flow, vf, np.diff(vals, axis=0),
+                               np.zeros_like(vals), 1.0)
+
+
 def test_matrix_symmetry_and_psd_on_samples():
     k = FractionalBrownian(0.4)
     vf = bounded_nonlinear_field()

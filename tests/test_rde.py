@@ -10,9 +10,9 @@ from roughdensity.fields import (
     rotation_mix_field,
     scalar_linear_field,
 )
-from roughdensity.density import _increment_tangent
 from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
 from roughdensity.lift import lift, lift_ensemble
+from roughdensity.malliavin import _increment_tangent
 from roughdensity.paths import CMElement, cm_eval, sample
 from roughdensity.rde import (
     BlowUpError,
@@ -297,7 +297,8 @@ def test_scheme_tangent_matches_finite_difference(vf, z0):
     coeffs = 0.7 * np.random.default_rng(23).standard_normal((3, m, d))
     level1 = np.einsum("bmd,mt->btd", coeffs, np.diff(traces, axis=1))
     flow = solve_batch(level1, grid, vf, z0)
-    tangent = _increment_tangent(flow, vf, level1)
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
+    tangent = flow.J[:, -1:] @ _increment_tangent(flow, vf, level1, eye, n)
     assert tangent.shape == (3, n, vf.n, d)
 
     step = 1e-5
