@@ -13,9 +13,10 @@ increments (`paths.sample_increments`), written block by block straight
 into a time-major buffer that every eps reads without a copy; the solver
 forms each step's level 2 itself.  A chunk steps each eps once and keeps
 only its collector's value per path, never a stored trajectory.
-`varadhan_check` solves the rate function d^2(y) in this process while the
-chunks of its sweep run in the workers; the rate function's tangent is
-`malliavin`'s increment tangent.
+`varadhan_check` gates the field once, samples the driver once for all
+its targets, and solves every target's rate function d^2(y) in this
+process while the chunks run in the workers; the rate function's tangent
+is `malliavin`'s increment tangent.  Every grid comes from the caller.
 """
 
 from __future__ import annotations
@@ -311,17 +312,14 @@ class DensityEstimate:
 
 
 def estimate_density(kernel: CovKernel, vf: VectorFieldSystem, z0, t: float,
-                     eps: float, n_paths: int, seed: int,
+                     eps: float, n_paths: int, seed: int, grid: TimeGrid,
                      y_grid: np.ndarray | None = None,
                      bandwidth: np.ndarray | None = None,
-                     grid: TimeGrid | None = None,
                      workers: int | None = None) -> DensityEstimate:
-    """Gaussian-kernel density estimate of the flow state at time t;
-    ``workers`` as in `monte_carlo_reduce`."""
+    """Gaussian-kernel density estimate of the flow state at time t, a node
+    of ``grid``; ``workers`` as in `monte_carlo_reduce`."""
     if bandwidth is not None and np.any(np.asarray(bandwidth) <= 0):
         raise ValueError("bandwidth must be positive")
-    if grid is None:
-        grid = TimeGrid.regular(256, horizon=kernel.horizon)
     (terminal,) = monte_carlo_reduce(kernel, grid, vf, z0, [eps], n_paths,
                                      seed, collect="terminal", t_node=t,
                                      workers=workers)
@@ -408,15 +406,13 @@ class TailProbabilityReport:
 
 def tail_probability_check(kernel: CovKernel, vf: VectorFieldSystem, z0,
                            tau: float, eps: float, n_paths: int, seed: int,
-                           levels, grid: TimeGrid | None = None,
+                           levels, grid: TimeGrid,
                            workers: int | None = None
                            ) -> TailProbabilityReport:
     """Empirical exceedance of the running sup |Z - z0| against levels,
     fitted on the transformed axis level^(1 + 1/rho) / kappa_tau^2; levels
     at or below the sample median are excluded from the fit window;
     ``workers`` as in `monte_carlo_reduce`."""
-    if grid is None:
-        grid = TimeGrid.regular(256, horizon=kernel.horizon)
     (sups,) = monte_carlo_reduce(kernel, grid, vf, z0, [eps], n_paths, seed,
                                  collect="running_sup", t_node=tau,
                                  workers=workers)
@@ -470,9 +466,8 @@ class RateFunctionResult:
 
 
 def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
-                  grid: TimeGrid | None = None, tol: float = 1e-6,
-                  n_starts: int = 5, seed: int = 0,
-                  elliptic_gate: bool = True) -> RateFunctionResult:
+                  grid: TimeGrid, tol: float = 1e-6, n_starts: int = 5,
+                  seed: int = 0) -> RateFunctionResult:
     """Minimize (1/2)|h|^2_H subject to the scheme reaching y: Gauss-Newton
     on the KKT system over every grid increment of the driver, in the
     sampler's coordinates: increments x = D L u with L = `cholesky_factor`
@@ -483,21 +478,13 @@ def rate_function(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
     along every increment direction, exact for the discrete map) each step
     goes to the minimum-norm point of the linearized constraint, u+ =
     A^T (A A^T)^-1 (y - Phi(u) + A u); it needs A A^T, the scheme's
-    Malliavin matrix, non-degenerate.  Steps
+    Malliavin matrix, non-degenerate (`TargetUnreachableError` if it is
+    singular; no ellipticity certificate is checked here).  Steps
     backtrack on |Phi - y| (a trial is kept if it lowers it or stays below
     tol/10, and halves its step if the scheme refuses it).  ``n_starts``
     seeded starts iterate as one batch; the feasible minimizer of least
     energy wins (ties: lowest start index).  h_opt sits on t_1 .. t_N with
     coefficients L^-T u, so |h_opt|^2_H = |u|^2."""
-    if elliptic_gate:
-        lam = vf.elliptic_lambda
-        if lam is None:
-            lam = ellipticity_scan(vf)
-        if lam <= 0:
-            raise NonEllipticError(
-                f"{vf.name}: ellipticity certificate failed (lambda <= 0)")
-    if grid is None:
-        grid = TimeGrid.regular(64, horizon=kernel.horizon)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if y_arr.shape != (vf.n,):
         raise ValueError("target dimension mismatch")
@@ -613,50 +600,55 @@ def _extrapolate_eps(eps: np.ndarray, vals: np.ndarray) -> float:
 
 def varadhan_sweep(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
                    eps_list, n_paths: int, seed: int, d2: float,
-                   grid: TimeGrid | None = None,
+                   grid: TimeGrid,
                    workers: int | None = None) -> VaradhanSweep:
     """eps^2 log p_eps(y) at the grid horizon along an eps list, with the
     shared driver realization, the trust floor n p_hat bandwidth >=
     ``TRUST_FLOOR``, and three-point extrapolation to eps = 0 on the
     trusted tail; ``d2`` is the rate d^2(y) the limit is compared with;
     ``workers`` as in `monte_carlo_reduce`."""
-    if grid is None:
-        grid = TimeGrid.regular(256, horizon=kernel.horizon)
     eps_arr = list(eps_list)
     terminals = monte_carlo_reduce(kernel, grid, vf, z0, eps_arr, n_paths,
                                    seed, collect="terminal", workers=workers)
     return _sweep_limit(y, d2, eps_arr, terminals, n_paths)
 
 
-def varadhan_check(y, kernel: CovKernel, vf: VectorFieldSystem, z0,
-                   eps_list, n_paths: int, seed: int,
-                   grid: TimeGrid | None = None, workers: int | None = None,
-                   tol: float = 1e-6, n_starts: int = 5
-                   ) -> tuple[RateFunctionResult, VaradhanSweep]:
-    """The small-noise program at one target y: ``(rate, sweep)`` with
-    ``rate = rate_function(y, ..., grid=, tol=, n_starts=, seed=)`` and
-    ``sweep`` as `varadhan_sweep` gives it with d2 = rate.d2, both on
-    ``grid``: d^2(y), a minimum over every grid increment of the driver,
-    is the rate of the scheme the sweep samples.
+def varadhan_check(ys, kernel: CovKernel, vf: VectorFieldSystem, z0,
+                   eps_list, n_paths: int, seed: int, grid: TimeGrid,
+                   workers: int | None = None, tol: float = 1e-6,
+                   n_starts: int = 5
+                   ) -> list[tuple[RateFunctionResult, VaradhanSweep]]:
+    """The small-noise program at every target y of ``ys``: one ``(rate,
+    sweep)`` per target, ``rate = rate_function(y, ..., grid, tol=,
+    n_starts=, seed=)`` and ``sweep`` as `varadhan_sweep` gives it with
+    d2 = rate.d2: d^2(y), a minimum over every grid increment of the
+    driver, is the rate of the scheme the sweep samples.
 
-    d^2(y) is solved in this process while the sweep's chunks run (in
-    forked workers when ``workers``, as in `monte_carlo_reduce`, comes to
-    more than 1).  A rate failure ends the chunks unread, so a failing run
-    raises what the serial order rate, then sweep, meets first.
+    The field's ellipticity certificate is checked before any chunk runs
+    (`NonEllipticError`).  One `monte_carlo_reduce` samples the driver for
+    every target, and the rate functions are solved in this process, in
+    target order, while its chunks run (in forked workers when ``workers``
+    comes to more than 1).  A rate failure ends the chunks unread, so a
+    failing run raises what the serial order meets first: rate(y1) ..
+    rate(yk), the chunks, sweep(y1) .. sweep(yk).
     """
-    if grid is None:
-        grid = TimeGrid.regular(256, horizon=kernel.horizon)
+    lam = vf.elliptic_lambda
+    if (ellipticity_scan(vf) if lam is None else lam) <= 0:
+        raise NonEllipticError(
+            f"{vf.name}: ellipticity certificate failed (lambda <= 0)")
     eps_arr = list(eps_list)
-    rate = []
+    rates = []
 
-    def solve_rate():
-        rate.append(rate_function(y, kernel, vf, z0, grid=grid, tol=tol,
-                                  n_starts=n_starts, seed=seed))
+    def solve_rates():
+        for y in ys:
+            rates.append(rate_function(y, kernel, vf, z0, grid, tol=tol,
+                                       n_starts=n_starts, seed=seed))
 
     terminals = monte_carlo_reduce(kernel, grid, vf, z0, eps_arr, n_paths,
                                    seed, collect="terminal", workers=workers,
-                                   meanwhile=solve_rate)
-    return rate[0], _sweep_limit(y, rate[0].d2, eps_arr, terminals, n_paths)
+                                   meanwhile=solve_rates)
+    return [(rate, _sweep_limit(y, rate.d2, eps_arr, terminals, n_paths))
+            for y, rate in zip(ys, rates)]
 
 
 def _sweep_limit(y, d2: float, eps_arr: list, terminals: list,

@@ -28,7 +28,7 @@ from .fields import VectorFieldSystem
 from .kernels import CovKernel, TimeGrid
 from .lift import p_variation
 from .paths import CMElement
-from .rde import FlowState, solve_skeleton
+from .rde import FlowState, _w_form, solve_skeleton
 
 
 # Degree of the random trigonometric polynomials of `trig_corpus`.
@@ -74,14 +74,8 @@ def _increment_tangent(flow: FlowState, vf: VectorFieldSystem, level1,
     m driver directions h, (..., idx, d, m), is b_s(h) = V h + (1/2)(DV[h] W
     + DW V h).  J is the exact derivative of the step map, so J_t times
     this is the exact derivative of Z_t along step s's h."""
-    z = flow.Z[..., :idx, :]
-    dt = flow.grid.dts[:idx, None]
-    x1 = flow.eps * level1[..., :idx, :]
-    v, dv = vf.v(z), vf.dv(z)
-    w = vf.v0(z) * dt
-    w += np.einsum("...sad,...sd->...sa", v, x1)
-    dw = vf.dv0(z) * dt[..., None]
-    dw += np.einsum("...sabj,...sj->...sab", dv, x1)
+    v, dv, w, dw = _w_form(vf, flow.Z[..., :idx, :], flow.grid.dts[:idx, None],
+                           flow.eps * level1[..., :idx, :])
     vh = v @ h
     dvh = np.einsum("...sabj,...sjk->...sabk", dv, h)
     b = vh + 0.5 * (np.einsum("...sabk,...sb->...sak", dvh, w) + dw @ vh)

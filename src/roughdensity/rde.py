@@ -12,9 +12,9 @@ of `density.monte_carlo_reduce` keep only one value per path instead.
 The stepper is the one-step second-order (Davie) update in W-form:
 z <- z + W + (1/2) DW W with W = V0(z) dt + V(z) x^1, which is the Taylor
 update with the piecewise-linear level 2 (1/2) x^1 (x) x^1 and the drift
-folded in, built from two-operand contractions only.  J is the exact
-derivative of the step map; the Malliavin layer inverts the slices of J it
-reads.
+folded in, built from two-operand contractions only; `_w_form` writes W
+and DW for the stepper and the Malliavin layer alike.  J is the exact
+derivative of the step map; the Malliavin layer inverts the slices of J.
 
 Every solve returns a `FlowState`: one record for a single flow, a batch
 of flows along leading axes, and a skeleton flow.
@@ -71,6 +71,19 @@ def _as_state(z0, n: int) -> np.ndarray:
     return z
 
 
+def _w_form(vf: VectorFieldSystem, z: np.ndarray, dt, x1: np.ndarray):
+    """(V, DV, W, DW) of the steps from states z (..., n) with level-1
+    increments x^1 (..., d): W = V0 dt + V x^1 and DW = DV0 dt + DV x^1.
+    ``dt`` broadcasts against V0(z), (..., n)."""
+    v = vf.v(z)
+    w = vf.v0(z) * dt
+    w += np.einsum("...ad,...d->...a", v, x1)
+    dv = vf.dv(z)
+    dw = vf.dv0(z) * np.asarray(dt)[..., None]
+    dw += np.einsum("...abj,...j->...ab", dv, x1)
+    return v, dv, w, dw
+
+
 def _steps(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
            eps: float, with_jacobian: bool):
     """The one stepping loop: yields (z, a) at every node k = 0 .. N, z the
@@ -102,10 +115,7 @@ def _steps(level1: np.ndarray, grid: TimeGrid, vf: VectorFieldSystem, z0,
     for i in range(N):
         dt = dts[i]
         x1 = eps * steps[i]                        # (P, d)
-        w = vf.v0(z) * dt
-        w += np.einsum("pad,pd->pa", vf.v(z), x1)
-        dw = vf.dv0(z) * dt
-        dw += np.einsum("pabj,pj->pab", vf.dv(z), x1)
+        _, _, w, dw = _w_form(vf, z, dt, x1)
 
         if with_jacobian:
             # A = d(dz)/dz = DW + (1/2)(D2W[W] + DW DW); D2W is contracted

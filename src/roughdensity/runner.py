@@ -319,12 +319,12 @@ def _exp_varadhan(config, kernel, grid, vf, out_dir, workers, gate):
     eps_list = config.get("eps_list", [0.5, 0.35, 0.25])
     gap_max = config.get("thresholds", {}).get("varadhan_gap", 0.1)
     seed, tol = config.get("seed", 0), config.get("tol", 1e-6)
+    checks = varadhan_check(
+        targets, kernel, vf, z0, eps_list=eps_list,
+        n_paths=config.get("n_paths", 100_000), seed=seed, grid=grid,
+        workers=workers, tol=tol, n_starts=config.get("n_starts", 5))
     rows, results, criteria = [], [], []
-    for y_vec in targets:
-        rate, sweep = varadhan_check(
-            y_vec, kernel, vf, z0, eps_list=eps_list,
-            n_paths=config.get("n_paths", 100_000), seed=seed, grid=grid,
-            workers=workers, tol=tol, n_starts=config.get("n_starts", 5))
+    for y_vec, (rate, sweep) in zip(targets, checks):
         for e, s, ok in zip(sweep.eps_list, sweep.scaled, sweep.trusted):
             rows.append([y_vec[0] if len(y_vec) == 1 else json.dumps(y_vec),
                          e, s, ok])

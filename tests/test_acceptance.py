@@ -266,11 +266,12 @@ def test_criterion_08_first_variation_covariance():
 
 
 def test_criterion_09_rate_function_closed_forms():
+    grid = TimeGrid.regular(64)
     worst = 0.0
     for k in (FractionalBrownian(0.4), brownian()):
         for dy in (-0.7, 0.5, 1.0):
             res = rate_function([0.5 + dy], k, identity_field(1), [0.5],
-                                seed=29)
+                                grid, seed=29)
             want = dy * dy / (2 * k.sigma_sq0(1.0))
             assert abs(res.d2 - want) <= 1e-3
             assert res.residual <= 1e-6
@@ -279,8 +280,7 @@ def test_criterion_09_rate_function_closed_forms():
     geo_worst = 0.0
     for c in (-0.4, 0.5, 0.8):
         res = rate_function([math.exp(c)], brownian(),
-                            scalar_linear_field(1.0), [1.0], seed=31,
-                            elliptic_gate=False)
+                            scalar_linear_field(1.0), [1.0], grid, seed=31)
         want = c * c / 2.0
         assert abs(res.d2 - want) <= 1e-3
         assert res.residual <= 1e-6
@@ -297,7 +297,8 @@ def test_criterion_10_varadhan_sweep():
     eps_list = [0.5, 0.35, 0.25]
     # additive Brownian
     y = 0.6
-    rate = rate_function([y], brownian(), identity_field(1), [0.0], seed=37)
+    rate = rate_function([y], brownian(), identity_field(1), [0.0], grid,
+                         seed=37)
     sweep = varadhan_sweep([y], brownian(), identity_field(1), [0.0],
                            eps_list=eps_list, n_paths=200_000, seed=37,
                            d2=rate.d2, grid=grid)
@@ -305,8 +306,7 @@ def test_criterion_10_varadhan_sweep():
     # geometric fixture
     c = 0.6
     rate_g = rate_function([math.exp(c)], brownian(),
-                           scalar_linear_field(1.0), [1.0], seed=39,
-                           elliptic_gate=False)
+                           scalar_linear_field(1.0), [1.0], grid, seed=39)
     sweep_g = varadhan_sweep([math.exp(c)], brownian(),
                              scalar_linear_field(1.0), [1.0],
                              eps_list=eps_list, n_paths=200_000, seed=39,

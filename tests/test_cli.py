@@ -327,6 +327,24 @@ def test_gated_experiment_exits_3(tmp_path):
     assert report["gate"]["pass"] is False
 
 
+def test_non_elliptic_varadhan_exits_3_before_any_chunk(tmp_path,
+                                                         monkeypatch):
+    # the field gate runs before the driver is sampled or a worker forked
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a chunk was sampled or forked")
+
+    monkeypatch.setattr(roughdensity.density, "sample_increments", no_chunk)
+    monkeypatch.setattr(roughdensity.density, "_map_forked", no_chunk)
+    config = dict(VARADHAN_SMALL, vf={"name": "degenerate_diag"},
+                  y_targets=[[1.0, 1.0]], grid={"n_steps": 16})
+    out = tmp_path / "out"
+    assert run(config, str(out), workers=2) == EXIT_GATE
+    assert multiprocessing.active_children() == []
+    report = json.loads((out / "report.json").read_text())
+    assert "ellipticity certificate failed" in report["error"]
+    assert report["gate"]["pass"] is True
+
+
 @pytest.mark.parametrize("experiment, t", [
     ("density", 0.3), ("tails", 0.3), ("varadhan", 0.5),
     ("audit-malliavin", 0.5), ("hypotheses", 0.5), ("sample", 0.5),
@@ -688,6 +706,23 @@ def test_varadhan_sweep_at_kernel_horizon(tmp_path, horizon, y):
 VARADHAN_TWO = dict(VARADHAN_SMALL, y_targets=[0.5, -0.4])
 
 
+def assert_sweeps_match_alone(config, blob):
+    """Each target's sweep in a report is `varadhan_sweep` run alone."""
+    kernel = kernel_from_spec(config["kernel"])
+    grid = TimeGrid.regular(64, horizon=kernel.horizon)
+    vf = field_from_spec("identity", {"n": 1})
+    targets = json.loads(blob)["result"]["targets"]
+    assert [t["sweep"]["y"] for t in targets] == [
+        [y] for y in config["y_targets"]]
+    for target in targets:
+        alone = varadhan_sweep(target["sweep"]["y"], kernel, vf, [0.0],
+                               eps_list=config["eps_list"],
+                               n_paths=config["n_paths"], seed=config["seed"],
+                               d2=target["rate_function"]["d2"], grid=grid)
+        assert json.dumps(_jsonable(alone.to_json()), sort_keys=True) == \
+            json.dumps(target["sweep"], sort_keys=True)
+
+
 def test_varadhan_two_targets_match_single_sweeps(tmp_path):
     """With the rate solves beside the chunks, a two-target report is the
     same at workers 1 and 2, no worker is left running, and each target's
@@ -700,19 +735,27 @@ def test_varadhan_two_targets_match_single_sweeps(tmp_path):
         runs.append((code, (out / "report.json").read_bytes()))
     (code, blob), again = runs
     assert again == (code, blob)
-    kernel = kernel_from_spec(VARADHAN_TWO["kernel"])
-    grid = TimeGrid.regular(64, horizon=kernel.horizon)
-    vf = field_from_spec("identity", {"n": 1})
-    targets = json.loads(blob)["result"]["targets"]
-    assert [t["sweep"]["y"] for t in targets] == [[0.5], [-0.4]]
-    for target in targets:
-        alone = varadhan_sweep(target["sweep"]["y"], kernel, vf, [0.0],
-                               eps_list=VARADHAN_TWO["eps_list"],
-                               n_paths=VARADHAN_TWO["n_paths"],
-                               seed=VARADHAN_TWO["seed"],
-                               d2=target["rate_function"]["d2"], grid=grid)
-        assert json.dumps(_jsonable(alone.to_json()), sort_keys=True) == \
-            json.dumps(target["sweep"], sort_keys=True)
+    assert_sweeps_match_alone(VARADHAN_TWO, blob)
+
+
+def test_varadhan_samples_once_for_all_targets(tmp_path, monkeypatch):
+    """A three-target run draws each chunk of the driver once, for every
+    target, and each target's sweep is still `varadhan_sweep` run for that
+    target alone."""
+    config = dict(VARADHAN_SMALL, y_targets=[0.5, -0.4, 0.3])
+    calls = []
+    real = roughdensity.density.sample_increments
+
+    def sample_increments(*args, **kwargs):
+        calls.append(kwargs["path_offset"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(roughdensity.density, "sample_increments",
+                        sample_increments)
+    out = tmp_path / "out"
+    assert run(config, str(out), workers=1) == EXIT_PASS
+    assert calls == [0, 16384]      # 30,000 paths: two chunks, each once
+    assert_sweeps_match_alone(config, (out / "report.json").read_bytes())
 
 
 VARADHAN_ERROR_SCRIPT = """
@@ -754,10 +797,11 @@ print(json.dumps(runs))
 @pytest.mark.parametrize("targets, rate_fails, chunks_fail, error", [
     ([0.5], [0.5], False, "pinned rate failure"),
     ([0.5], [], True, "pinned chunk blow-up"),
-    # the serial order is rate(y1), sweep(y1), rate(y2), sweep(y2)
+    # the serial order is rate(y1) .. rate(yk), then the chunks the targets
+    # share, then sweep(y1) .. sweep(yk), so every rate failure comes first
     ([0.5, -0.4], [0.5], True, "pinned rate failure"),
-    ([0.5, -0.4], [-0.4], True, "pinned chunk blow-up"),
-], ids=["rate", "chunk", "rate-y1-beats-chunk", "chunk-beats-rate-y2"])
+    ([0.5, -0.4], [-0.4], True, "pinned rate failure"),
+], ids=["rate", "chunk", "rate-y1-beats-chunk", "rate-y2-beats-chunk"])
 def test_varadhan_errors_match_the_serial_order(tmp_path, targets,
                                                 rate_fails, chunks_fail,
                                                 error):

@@ -23,6 +23,7 @@ from roughdensity.density import (
     silverman_bandwidth,
     tail_fit,
     tail_probability_check,
+    varadhan_check,
     varadhan_sweep,
 )
 from roughdensity.fields import (
@@ -112,7 +113,8 @@ def test_density_deterministic_across_workers():
 def test_bandwidth_validation():
     with pytest.raises(ValueError):
         estimate_density(brownian(), identity_field(1), [0.0], t=1.0,
-                         eps=1.0, n_paths=100, seed=0, bandwidth=[-1.0])
+                         eps=1.0, n_paths=100, seed=0,
+                         grid=TimeGrid.regular(16), bandwidth=[-1.0])
 
 
 def test_tail_fit_brownian_slope_half(brownian_additive_estimate):
@@ -227,7 +229,7 @@ def test_tail_probability_brownian_reflection():
 
 def test_rate_function_trivial_target():
     res = rate_function([0.5], FractionalBrownian(0.4), identity_field(1),
-                        [0.5], seed=3, n_starts=2)
+                        [0.5], TimeGrid.regular(64), seed=3, n_starts=2)
     assert res.d2 == pytest.approx(0.0, abs=1e-8)
     assert res.residual <= 1e-6
     assert res.det_gamma > 0
@@ -235,16 +237,30 @@ def test_rate_function_trivial_target():
 
 def test_rate_function_additive_closed_form():
     res = rate_function([1.5], FractionalBrownian(0.4), identity_field(1),
-                        [0.5], seed=1, n_starts=2)
+                        [0.5], TimeGrid.regular(64), seed=1, n_starts=2)
     assert res.d2 == pytest.approx(0.5, abs=1e-3)
     assert res.residual <= 1e-6
     assert res.det_gamma > 0
 
 
-def test_rate_function_rejects_non_elliptic():
+def test_varadhan_check_rejects_non_elliptic_before_any_chunk(monkeypatch):
+    # the field gate runs before the driver is sampled or a worker forked;
+    # rate_function itself checks no certificate, and on this field its
+    # A A^T is singular
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a chunk was sampled or forked")
+
+    monkeypatch.setattr(dens, "sample_increments", no_chunk)
+    monkeypatch.setattr(dens, "_map_forked", no_chunk)
+    kernel, vf = brownian(), degenerate_diag_field()
+    grid = TimeGrid.regular(16)
     with pytest.raises(NonEllipticError):
-        rate_function([1.0, 1.0], brownian(), degenerate_diag_field(),
-                      [0.0, 0.0], seed=0)
+        varadhan_check([[1.0, 1.0]], kernel, vf, [0.0, 0.0],
+                       eps_list=[0.5, 0.35, 0.25], n_paths=40_000, seed=0,
+                       grid=grid, workers=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(TargetUnreachableError, match="A A\\^T is singular"):
+        rate_function([1.0, 1.0], kernel, vf, [0.0, 0.0], grid, seed=0)
 
 
 def test_rate_function_unreachable_target():
@@ -252,7 +268,7 @@ def test_rate_function_unreachable_target():
     # A A^T vanishes and no step towards y = 1 exists.
     with pytest.raises(TargetUnreachableError):
         rate_function([1.0], brownian(), scalar_linear_field(1.0), [0.0],
-                      seed=0, elliptic_gate=False)
+                      TimeGrid.regular(64), seed=0)
 
 
 def test_rate_function_matches_penalty_oracle():
@@ -275,8 +291,7 @@ def test_scheme_rate_converges_to_closed_form(n):
     # scheme's rate approaches it as n^-2
     c = 0.8
     res = rate_function([math.exp(c)], brownian(), scalar_linear_field(1.0),
-                        [1.0], grid=TimeGrid.regular(n), seed=31,
-                        elliptic_gate=False)
+                        [1.0], grid=TimeGrid.regular(n), seed=31)
     assert abs(res.d2 - c * c / 2) <= 0.1 / n ** 2
 
 
@@ -353,7 +368,8 @@ def test_increment_tangent_matches_directional_derivative(vf, z0, n):
 
 def test_rate_function_reports_iterations():
     res = rate_function([1.0], FractionalBrownian(0.4),
-                        bounded_nonlinear_field(), [0.0], n_starts=3, seed=2)
+                        bounded_nonlinear_field(), [0.0], TimeGrid.regular(64),
+                        n_starts=3, seed=2)
     steps = res.iterations
     assert len(steps) >= 2
     assert steps[-1]["residual"] == res.residual
