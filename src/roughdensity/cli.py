@@ -1,5 +1,6 @@
 """Command-line workbench: run experiments from JSON configs, summarize
-artifact directories, list fixtures."""
+artifact directories, list fixtures.  It imports no numerical module until
+a command needs one: `report` and a config error load no numpy."""
 
 from __future__ import annotations
 
@@ -7,8 +8,6 @@ import argparse
 import json
 import sys
 
-from .density import ENV_WORKERS
-from .fields import FIELD_CATALOG
 from .runner import EXIT_CONFIG, ConfigError, run, summarize
 
 
@@ -23,7 +22,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="JSON config path")
     p_run.add_argument("--out", required=True, help="artifact directory")
     p_run.add_argument("--workers", type=int, default=None,
-                       help=f"worker count (default: {ENV_WORKERS} or CPUs)")
+                       help="worker count (default: ROUGHDENSITY_WORKERS "
+                            "or the CPUs this process may use)")
     p_run.add_argument("--verbose", action="store_true")
 
     p_rep = sub.add_parser("report", help="summarize an artifact directory")
@@ -58,6 +58,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "list-fixtures":
+        from .fields import FIELD_CATALOG
+
         print("kernel families: fbm(H), bifbm(H,K), sum_fbm(H1,H2), "
               "stationary(F: power), fourier(C,k_max), fou(H,lam)")
         print("vector fields:", ", ".join(sorted(FIELD_CATALOG)))

@@ -67,10 +67,13 @@ def _chunk_ranges(n_paths: int):
 
 def worker_count(workers=None) -> int:
     """``workers`` if given, else ``ROUGHDENSITY_WORKERS`` (an empty value
-    counts as unset), else the CPU count; at least 1."""
+    counts as unset), else the number of CPUs this process may run on (the
+    host's CPU count where the platform cannot tell); at least 1."""
     if workers is None:
         env = os.environ.get(ENV_WORKERS)
         if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         try:
             workers = int(env)

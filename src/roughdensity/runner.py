@@ -6,6 +6,11 @@ byte-for-byte for a fixed config and seed), plot-ready CSV files, and a
 ``manifest.json`` with the config hash, seed, tool and numpy/scipy
 versions and the random-stream scheme.  Randomness flows exclusively from
 the config seed.
+
+This module imports only the standard library at load time: validating a
+config and summarizing a finished run load no numpy.  `run` imports the
+numerical layers after the config validates, and each experiment imports
+the ones it calls.
 """
 
 from __future__ import annotations
@@ -17,40 +22,10 @@ import importlib.util
 import json
 import math
 import numbers
+import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .diagnostics import (
-    check_hypotheses,
-    eta,
-    kappa,
-    mixed_variation_refinement,
-    q_embedding,
-)
-from .density import (
-    NoiseFloorError,
-    TargetUnreachableError,
-    estimate_density,
-    tail_fit,
-    tail_probability_check,
-    varadhan_check,
-    worker_count,
-)
-from .fields import NonEllipticError, field_from_spec
-from .kernels import CovKernel, TimeGrid, kernel_from_spec
-from .lift import lift_ensemble
-from .malliavin import (
-    HypothesisGateError,
-    directional_derivative,
-    interpolation_audit,
-    malliavin_matrix,
-)
-from .paths import (RNG_SCHEME, cm_eval, export_path_csv,
-                    random_unit_element, sample, sample_increments,
-                    save_ensemble)
-from .rde import BlowUpError, CoarseGridError, solve_batch
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -152,14 +127,16 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    np = sys.modules.get("numpy")   # no numpy object exists before it loads
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return _jsonable(obj.tolist())
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.bool_):
+            return bool(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -177,11 +154,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _grid_from(config: dict, kernel: CovKernel) -> TimeGrid:
-    n = config.get("grid", {}).get("n_steps", 128)
-    return TimeGrid.regular(n, horizon=kernel.horizon)
-
-
 def _from_spec(what: str, build, *args):
     """``build(*args)``, with a spec it cannot build raised as ConfigError."""
     try:
@@ -191,6 +163,8 @@ def _from_spec(what: str, build, *args):
 
 
 def _vf_from(config: dict):
+    from .fields import field_from_spec
+
     spec = config.get("vf")
     if spec is None:
         raise ConfigError("this experiment requires a 'vf' entry")
@@ -211,6 +185,9 @@ def _targets_from(config: dict) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 
 def _exp_hypotheses(config, kernel, grid, vf, out_dir, workers, gate):
+    from .diagnostics import (check_hypotheses, eta,
+                              mixed_variation_refinement, q_embedding)
+
     rep = check_hypotheses(kernel, grid)
     etas = {}
     for frac in (0.25, 0.5, 1.0):
@@ -238,6 +215,8 @@ def _exp_hypotheses(config, kernel, grid, vf, out_dir, workers, gate):
 
 
 def _exp_sample(config, kernel, grid, vf, out_dir, workers, gate):
+    from .paths import export_path_csv, sample, save_ensemble
+
     n_paths = config.get("n_paths", 1000)
     d = config.get("d", 1)
     seed = config.get("seed", 0)
@@ -265,6 +244,11 @@ def _exp_sample(config, kernel, grid, vf, out_dir, workers, gate):
 
 
 def _exp_density(config, kernel, grid, vf, out_dir, workers, gate):
+    import numpy as np
+
+    from .density import estimate_density, tail_fit
+    from .diagnostics import kappa
+
     z0 = _z0_from(config, vf)
     t = config.get("t", kernel.horizon)
     est = estimate_density(kernel, vf, z0, t=t,
@@ -292,6 +276,8 @@ def _exp_density(config, kernel, grid, vf, out_dir, workers, gate):
 
 
 def _exp_tails(config, kernel, grid, vf, out_dir, workers, gate):
+    from .density import tail_probability_check
+
     z0 = _z0_from(config, vf)
     tau = config.get("t", kernel.horizon)
     levels = config.get("levels")
@@ -312,6 +298,8 @@ def _exp_tails(config, kernel, grid, vf, out_dir, workers, gate):
 
 
 def _exp_varadhan(config, kernel, grid, vf, out_dir, workers, gate):
+    from .density import varadhan_check
+
     z0 = _z0_from(config, vf)
     targets = _targets_from(config)
     if not targets:
@@ -347,6 +335,8 @@ def _exp_varadhan(config, kernel, grid, vf, out_dir, workers, gate):
 
 def _exp_audit_interpolation(config, kernel, grid, vf, out_dir, workers,
                              gate):
+    from .malliavin import interpolation_audit
+
     audit = interpolation_audit(kernel, grid,
                                 n_random_fns=config.get("n_paths", 100),
                                 seed=config.get("seed", 0), report=gate)
@@ -361,6 +351,14 @@ def _exp_audit_interpolation(config, kernel, grid, vf, out_dir, workers,
 
 
 def _exp_audit_malliavin(config, kernel, grid, vf, out_dir, workers, gate):
+    import numpy as np
+
+    from .lift import lift_ensemble
+    from .malliavin import directional_derivative, malliavin_matrix
+    from .paths import (cm_eval, random_unit_element, sample,
+                        sample_increments)
+    from .rde import solve_batch
+
     z0 = _z0_from(config, vf)
     seed = config.get("seed", 0)
     n_pairs = config.get("n_pairs", 20)
@@ -415,14 +413,23 @@ _EXPERIMENTS = {
 
 def run(config: dict, out_dir: str, workers: int | None = None) -> int:
     """Execute one experiment; writes report.json, CSVs and manifest.json;
-    returns the exit code.  ``workers`` is resolved by `worker_count`
-    (None: ``ROUGHDENSITY_WORKERS``, else the CPU count)."""
-    workers = _from_spec("workers", worker_count, workers)
+    returns the exit code.  The config is validated before any numerical
+    module is imported; then ``workers`` is resolved by `worker_count`
+    (None: ``ROUGHDENSITY_WORKERS``, else the CPUs this process may use)."""
     validate_config(config)
+    from .density import NoiseFloorError, TargetUnreachableError, worker_count
+    from .diagnostics import check_hypotheses
+    from .fields import NonEllipticError
+    from .kernels import TimeGrid, kernel_from_spec
+    from .malliavin import HypothesisGateError
+    from .rde import BlowUpError, CoarseGridError
+
+    workers = _from_spec("workers", worker_count, workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kernel = _from_spec("kernel", kernel_from_spec, config["kernel"])
-    grid = _grid_from(config, kernel)
+    grid = TimeGrid.regular(config.get("grid", {}).get("n_steps", 128),
+                            horizon=kernel.horizon)
     experiment = config["experiment"]
     vf = _vf_from(config) if experiment in FIELD_EXPERIMENTS else None
     if vf is not None and len(_z0_from(config, vf)) != vf.n:
@@ -493,6 +500,10 @@ def _scipy_version() -> str:
 
 
 def _emit(out: Path, config: dict, report: dict) -> None:
+    import numpy as np
+
+    from .paths import RNG_SCHEME
+
     manifest = {"config_hash": config_hash(config),
                 "seed": config.get("seed", 0),
                 "version": __version__,

@@ -382,13 +382,13 @@ def test_malformed_spec_exits_2(tmp_path, capsys, monkeypatch, edit, why,
     """A kernel or field spec that cannot be built, or a z0 or target of
     the wrong dimension, is a config error found before the hypothesis gate
     runs."""
-    real_gate, gates = roughdensity.runner.check_hypotheses, []
+    real_gate, gates = roughdensity.diagnostics.check_hypotheses, []
 
     def gate(*args):
         gates.append(args)
         return real_gate(*args)
 
-    monkeypatch.setattr(roughdensity.runner, "check_hypotheses", gate)
+    monkeypatch.setattr(roughdensity.diagnostics, "check_hypotheses", gate)
     cfg = write_config(tmp_path, {**DENSITY_SMALL, **edit})
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
@@ -560,6 +560,48 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     assert fou_loads_quad
 
 
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+import roughdensity
+loaded = ["numpy" in sys.modules]
+import roughdensity.cli
+from roughdensity import runner
+runner.validate_config(json.loads(sys.argv[1]))
+loaded.append("numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert roughdensity.cli.main(["report", sys.argv[2]]) == 0
+loaded.append("numpy" in sys.modules)
+with contextlib.redirect_stderr(io.StringIO()):
+    code = roughdensity.cli.main(["run", "--config", sys.argv[3],
+                                  "--out", sys.argv[4]])
+loaded.append("numpy" in sys.modules)
+print(json.dumps([loaded, code]))
+"""
+
+
+def test_numpy_loads_only_when_a_run_computes(tmp_path, capsys):
+    # importing the package and the command line, validating a config,
+    # `report` and a schema-invalid `run` load no numpy, while the public
+    # names are still the submodules' own objects
+    assert run(HYP_OK, str(tmp_path / "done")) == EXIT_PASS
+    bad = write_config(tmp_path, {**HYP_OK, "bogus": 1})
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(HYP_OK),
+         str(tmp_path / "done"), str(bad), str(tmp_path / "bad")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[False] * 4, EXIT_CONFIG]
+    for name in roughdensity.__all__:
+        module = importlib.import_module(
+            f"roughdensity.{roughdensity._MODULE_OF[name]}")
+        assert getattr(roughdensity, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        roughdensity.no_such_name
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert roughdensity.density.ENV_WORKERS in capsys.readouterr().out
+
+
 def test_config_hash_stable_under_key_order():
     a = {"kernel": {"family": "fbm", "H": 0.4}, "experiment": "hypotheses"}
     b = {"experiment": "hypotheses", "kernel": {"H": 0.4, "family": "fbm"}}
@@ -597,7 +639,7 @@ def test_audit_interpolation_experiment(tmp_path, monkeypatch):
         calls.append(args)
         return gate(*args, **kwargs)
 
-    for module in (roughdensity.runner, roughdensity.malliavin):
+    for module in (roughdensity.diagnostics, roughdensity.malliavin):
         monkeypatch.setattr(module, "check_hypotheses", counted)
     config = {"kernel": {"family": "fbm", "H": 0.4, "T": 1.0},
               "grid": {"n_steps": 32}, "experiment": "audit-interpolation",

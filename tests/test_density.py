@@ -600,6 +600,14 @@ def test_worker_count_rule(monkeypatch):
     assert dens.worker_count(2) == 2
     assert dens.worker_count() == 3
     monkeypatch.setenv("ROUGHDENSITY_WORKERS", "")
+    if hasattr(os, "sched_getaffinity"):
+        assert dens.worker_count() == len(os.sched_getaffinity(0))
+    # the CPUs this process may run on, not the host's CPU count; the
+    # latter where the platform cannot tell
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert dens.worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
     assert dens.worker_count() == max(1, os.cpu_count() or 1)
     monkeypatch.setenv("ROUGHDENSITY_WORKERS", "two")
     with pytest.raises(ValueError, match="ROUGHDENSITY_WORKERS"):
