@@ -13,10 +13,10 @@ increments (`paths.sample_increments`), written block by block straight
 into a time-major buffer that every eps reads without a copy; the solver
 forms each step's level 2 itself.  A chunk steps each eps once and keeps
 only its collector's value per path, never a stored trajectory.
-`varadhan_check` gates the field once, samples the driver once for all
-its targets, and solves every target's rate function d^2(y) in this
-process while the chunks run in the workers; the rate function's tangent
-is `malliavin`'s increment tangent.  Every grid comes from the caller.
+`varadhan_check` gates the field once, solves every target's rate
+function d^2(y), then samples the driver once for all its targets; the
+rate function's tangent is `malliavin`'s increment tangent.  Every grid
+comes from the caller.
 """
 
 from __future__ import annotations
@@ -83,19 +83,16 @@ def worker_count(workers=None) -> int:
     return max(1, int(workers))
 
 
-def _map_chunks(run_chunk, ranges, workers, meanwhile=None) -> list:
-    """``run_chunk`` over ``ranges``, results in chunk order; ``meanwhile``
-    (if given) is called in this process before the results are collected.
+def _map_chunks(run_chunk, ranges, workers) -> list:
+    """``run_chunk`` over ``ranges``, results in chunk order.
 
     With more than one worker (by `worker_count`) and chunk, the chunks
     run in ``min(workers, len(ranges))`` forked processes, which inherit
     ``run_chunk`` rather than unpickle it (the fields' callables cannot be
-    pickled), and ``meanwhile`` runs while they do.  They run in this
-    process instead, after ``meanwhile``, where the platform cannot fork,
-    or where this process runs other threads, which makes a fork unsafe.
-    Either way an error of ``meanwhile`` comes first (the chunks are ended
-    unread), then the first failing chunk in order raises its error, and
-    every worker is joined before this returns or raises.
+    pickled).  They run in this process instead where the platform cannot
+    fork, or where this process runs other threads, which makes a fork
+    unsafe.  Either way the first failing chunk in order raises its error,
+    and every worker is joined before this returns or raises.
     """
     workers = min(worker_count(workers), len(ranges))
     if workers > 1:
@@ -104,30 +101,23 @@ def _map_chunks(run_chunk, ranges, workers, meanwhile=None) -> list:
         if ("fork" in multiprocessing.get_all_start_methods()
                 and threading.active_count() == 1):
             return _map_forked(multiprocessing.get_context("fork"),
-                               run_chunk, ranges, workers, meanwhile)
-    if meanwhile is not None:
-        meanwhile()
+                               run_chunk, ranges, workers)
     return [run_chunk(r) for r in ranges]
 
 
-def _map_forked(ctx, run_chunk, ranges, workers: int,
-                meanwhile=None) -> list:
-    """Worker k runs chunks k, k + workers, ... in order (up to the first
-    error), then sends their results down its pipe and exits.  Sending at
-    the end keeps a worker from blocking on a full pipe while this process
-    is still in ``meanwhile``."""
+def _map_forked(ctx, run_chunk, ranges, workers: int) -> list:
+    """Worker k runs chunks k, k + workers, ... in order, sending each
+    result down its pipe as it is done, up to the first error; then it
+    exits."""
     from multiprocessing.connection import wait
 
     def serve(conn, first):
-        done = []
         for i in range(first, len(ranges), workers):
             try:
-                done.append((i, run_chunk(ranges[i])))
+                conn.send((i, run_chunk(ranges[i])))
             except Exception as err:
-                done.append((i, err))
+                conn.send((i, err))
                 break
-        for item in done:
-            conn.send(item)
 
     done, procs, live = {}, [], []
     try:
@@ -138,8 +128,6 @@ def _map_forked(ctx, run_chunk, ranges, workers: int,
             procs.append(proc)
             send.close()
             live.append(recv)
-        if meanwhile is not None:
-            meanwhile()
         while live:
             for conn in wait(live):
                 try:
@@ -168,22 +156,18 @@ def _map_forked(ctx, run_chunk, ranges, workers: int,
 def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                        vf: VectorFieldSystem, z0, eps_list, n_paths: int,
                        seed: int, collect: str = "terminal",
-                       t_node=None, workers: int | None = None,
-                       meanwhile=None) -> list[np.ndarray]:
-    """Sample, lift and solve in fixed chunks; returns one array per eps.
+                       t_node=None,
+                       workers: int | None = None) -> list[np.ndarray]:
+    """Sample and solve in fixed chunks; returns one array per eps.
 
     ``collect`` is ``"terminal"`` (state at ``t_node``, default the
     horizon) or ``"running_sup"`` (sup of |Z - z0| over nodes up to
     ``t_node``).  The same driver realization feeds every eps.  A chunk
     keeps only that value per path and eps while it steps, not the
     trajectory; every step still runs, so a blow-up after ``t_node``
-    raises.
-    ``meanwhile``, a function of no arguments, is called in this process
-    once the chunks have started and before they are collected, so with
-    forked workers it runs while they do; if it raises, the chunks are
-    ended unread and its error propagates.  ``workers`` is resolved by
-    `worker_count` (None: ``ROUGHDENSITY_WORKERS``, else the CPU count);
-    1 runs every chunk in this process.
+    raises.  ``workers`` is resolved by `worker_count` (None:
+    ``ROUGHDENSITY_WORKERS``, else the CPU count); 1 runs every chunk in
+    this process.
     """
     if collect not in ("terminal", "running_sup"):
         raise ValueError(f"unknown collector {collect!r}")
@@ -217,7 +201,7 @@ def monte_carlo_reduce(kernel: CovKernel, grid: TimeGrid,
                                    seed=seed, path_offset=off, chol=chol)
         return [reduce_flow(level1, eps) for eps in eps_list]
 
-    results = _map_chunks(run_chunk, ranges, workers, meanwhile)
+    results = _map_chunks(run_chunk, ranges, workers)
     return [np.concatenate([r[i] for r in results], axis=0)
             for i in range(len(eps_list))]
 
@@ -316,11 +300,14 @@ class DensityEstimate:
 
 def estimate_density(kernel: CovKernel, vf: VectorFieldSystem, z0, t: float,
                      eps: float, n_paths: int, seed: int, grid: TimeGrid,
-                     y_grid: np.ndarray | None = None,
                      bandwidth: np.ndarray | None = None,
                      workers: int | None = None) -> DensityEstimate:
     """Gaussian-kernel density estimate of the flow state at time t, a node
-    of ``grid``; ``workers`` as in `monte_carlo_reduce`."""
+    of ``grid``, on 512 points over the sample mean +- 6 sd; a field of
+    dimension 1 only.  ``workers`` as in `monte_carlo_reduce`."""
+    if vf.n != 1:
+        raise ValueError("density estimate needs a field of dimension 1, "
+                         f"got {vf.n}")
     if bandwidth is not None and np.any(np.asarray(bandwidth) <= 0):
         raise ValueError("bandwidth must be positive")
     (terminal,) = monte_carlo_reduce(kernel, grid, vf, z0, [eps], n_paths,
@@ -329,20 +316,12 @@ def estimate_density(kernel: CovKernel, vf: VectorFieldSystem, z0, t: float,
     h = silverman_bandwidth(terminal) if bandwidth is None \
         else np.broadcast_to(np.asarray(bandwidth, dtype=float),
                              (terminal.shape[1],)).copy()
-    if y_grid is None:
-        if vf.n != 1:
-            raise ValueError("default y-grid exists only in dimension 1")
-        mean, sd = terminal[:, 0].mean(), terminal[:, 0].std()
-        y_grid = np.linspace(mean - 6 * sd, mean + 6 * sd, 512)
-    y_arr = np.asarray(y_grid, dtype=float)
-    p, se = kde_evaluate(terminal, y_arr, h)
-    if y_arr.ndim == 1:
-        normalization = float(np.trapezoid(p, y_arr))
-    else:
-        normalization = float("nan")
-    return DensityEstimate(y_grid=y_arr, p=p, se=se, bandwidth=h,
+    mean, sd = terminal[:, 0].mean(), terminal[:, 0].std()
+    y_grid = np.linspace(mean - 6 * sd, mean + 6 * sd, 512)
+    p, se = kde_evaluate(terminal, y_grid, h)
+    return DensityEstimate(y_grid=y_grid, p=p, se=se, bandwidth=h,
                            n_paths=n_paths, t=float(t),
-                           normalization=normalization)
+                           normalization=float(np.trapezoid(p, y_grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -627,29 +606,22 @@ def varadhan_check(ys, kernel: CovKernel, vf: VectorFieldSystem, z0,
     d2 = rate.d2: d^2(y), a minimum over every grid increment of the
     driver, is the rate of the scheme the sweep samples.
 
-    The field's ellipticity certificate is checked before any chunk runs
-    (`NonEllipticError`).  One `monte_carlo_reduce` samples the driver for
-    every target, and the rate functions are solved in this process, in
-    target order, while its chunks run (in forked workers when ``workers``
-    comes to more than 1).  A rate failure ends the chunks unread, so a
-    failing run raises what the serial order meets first: rate(y1) ..
-    rate(yk), the chunks, sweep(y1) .. sweep(yk).
+    The field's ellipticity certificate is checked first
+    (`NonEllipticError`), then the rate functions are solved in target
+    order, then one `monte_carlo_reduce` samples the driver for every
+    target, and each target's sweep is built from those samples.  A
+    failing run raises what this order meets first: rate(y1) .. rate(yk),
+    the chunks, sweep(y1) .. sweep(yk).
     """
     lam = vf.elliptic_lambda
     if (ellipticity_scan(vf) if lam is None else lam) <= 0:
         raise NonEllipticError(
             f"{vf.name}: ellipticity certificate failed (lambda <= 0)")
+    rates = [rate_function(y, kernel, vf, z0, grid, tol=tol,
+                           n_starts=n_starts, seed=seed) for y in ys]
     eps_arr = list(eps_list)
-    rates = []
-
-    def solve_rates():
-        for y in ys:
-            rates.append(rate_function(y, kernel, vf, z0, grid, tol=tol,
-                                       n_starts=n_starts, seed=seed))
-
     terminals = monte_carlo_reduce(kernel, grid, vf, z0, eps_arr, n_paths,
-                                   seed, collect="terminal", workers=workers,
-                                   meanwhile=solve_rates)
+                                   seed, collect="terminal", workers=workers)
     return [(rate, _sweep_limit(y, rate.d2, eps_arr, terminals, n_paths))
             for y, rate in zip(ys, rates)]
 

@@ -244,8 +244,6 @@ def _exp_sample(config, kernel, grid, vf, out_dir, workers, gate):
 
 
 def _exp_density(config, kernel, grid, vf, out_dir, workers, gate):
-    import numpy as np
-
     from .density import estimate_density, tail_fit
     from .diagnostics import kappa
 
@@ -260,7 +258,7 @@ def _exp_density(config, kernel, grid, vf, out_dir, workers, gate):
     kap = kappa(kernel, 0.0, t, grid)
     fit = tail_fit(est, z0, rho=kernel.rho, kappa_t=kap)
     _write_csv(out_dir / "density.csv", ["y", "p_hat", "se"],
-               zip(np.atleast_2d(est.y_grid.T).T[:, 0], est.p, est.se))
+               zip(est.y_grid, est.p, est.se))
     r2_min = config.get("thresholds", {}).get("r2", 0.9)
     result = {"density": est.to_json(), "tail_fit": fit.to_json(),
               "kappa_t": kap, "files": ["density.csv"]}
@@ -437,6 +435,9 @@ def run(config: dict, out_dir: str, workers: int | None = None) -> int:
     if vf is not None and any(len(y) != vf.n for y in _targets_from(config)):
         raise ConfigError("a y target's dimension does not match the "
                           "vector field")
+    if experiment == "density" and vf.n != 1:
+        raise ConfigError(f"density: the field has dimension {vf.n}; the "
+                          "density estimate needs dimension 1")
 
     t = config.get("t")
     if t is not None:

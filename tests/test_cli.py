@@ -15,7 +15,11 @@ import pytest
 
 import roughdensity
 from roughdensity.cli import main
-from roughdensity.density import varadhan_sweep
+from roughdensity.density import (
+    TargetUnreachableError,
+    estimate_density,
+    varadhan_sweep,
+)
 from roughdensity.fields import field_from_spec
 from roughdensity.kernels import TimeGrid, kernel_from_spec
 from roughdensity.malliavin import directional_derivative
@@ -343,6 +347,49 @@ def test_non_elliptic_varadhan_exits_3_before_any_chunk(tmp_path,
     report = json.loads((out / "report.json").read_text())
     assert "ellipticity certificate failed" in report["error"]
     assert report["gate"]["pass"] is True
+
+
+def test_failing_rate_solve_exits_1_before_any_chunk(tmp_path,
+                                                     monkeypatch):
+    """Every rate solve runs before the driver is sampled, so a target the
+    solver cannot reach forks no worker and samples no chunk."""
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a chunk was sampled or forked")
+
+    def unreachable(y, *args, **kwargs):
+        raise TargetUnreachableError(f"y={y}: pinned rate failure")
+
+    monkeypatch.setattr(roughdensity.density, "rate_function", unreachable)
+    monkeypatch.setattr(roughdensity.density, "sample_increments", no_chunk)
+    monkeypatch.setattr(roughdensity.density, "_map_forked", no_chunk)
+    out = tmp_path / "out"
+    assert run(VARADHAN_SMALL, str(out), workers=2) == EXIT_FAIL
+    assert multiprocessing.active_children() == []
+    report = json.loads((out / "report.json").read_text())
+    assert "pinned rate failure" in report["error"]
+
+
+def test_density_of_a_field_past_dimension_1_fails_before_any_chunk(
+        tmp_path, monkeypatch, capsys):
+    """The density estimate's y-grid is one-dimensional: a field of
+    dimension 2 is a config error of the run and a ValueError of
+    `estimate_density`, both before any path is sampled."""
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a chunk was sampled")
+
+    monkeypatch.setattr(roughdensity.density, "sample_increments", no_chunk)
+    config = {**DENSITY_SMALL, "vf": {"name": "rotation_mix"}}
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "dimension 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    kernel = kernel_from_spec(config["kernel"])
+    with pytest.raises(ValueError, match="dimension 1"):
+        estimate_density(kernel, field_from_spec("rotation_mix"), [0.0, 0.0],
+                         t=1.0, eps=1.0, n_paths=100, seed=1,
+                         grid=TimeGrid.regular(32), workers=2)
 
 
 @pytest.mark.parametrize("experiment, t", [
@@ -766,9 +813,9 @@ def assert_sweeps_match_alone(config, blob):
 
 
 def test_varadhan_two_targets_match_single_sweeps(tmp_path):
-    """With the rate solves beside the chunks, a two-target report is the
-    same at workers 1 and 2, no worker is left running, and each target's
-    sweep is `varadhan_sweep` run for that target alone."""
+    """A two-target report is the same at workers 1 and 2, no worker is
+    left running, and each target's sweep is `varadhan_sweep` run for that
+    target alone."""
     runs = []
     for workers in (1, 2):
         out = tmp_path / f"workers{workers}"
@@ -847,10 +894,10 @@ print(json.dumps(runs))
 def test_varadhan_errors_match_the_serial_order(tmp_path, targets,
                                                 rate_fails, chunks_fail,
                                                 error):
-    """The rate solves run while the chunks do, yet a failing run reports
-    the error the serial program meets first, with the same report bytes
-    and exit code at workers 1 and 2, and leaves no worker running; run in
-    a subprocess with a timeout, so a pool that hangs fails here."""
+    """A failing run reports the error the serial order meets first, with
+    the same report bytes and exit code at workers 1 and 2, and leaves no
+    worker running; run in a subprocess with a timeout, so a pool that
+    hangs fails here."""
     config = dict(VARADHAN_SMALL, y_targets=targets, n_paths=20000)
     proc = subprocess.run(
         [sys.executable, "-c", VARADHAN_ERROR_SCRIPT, json.dumps(config),

@@ -505,9 +505,9 @@ def test_monte_carlo_reduce_chunking_invariant(monkeypatch):
     worker left behind."""
     forked, map_forked = [], dens._map_forked
 
-    def counted(ctx, run_chunk, ranges, workers, *rest):
+    def counted(ctx, run_chunk, ranges, workers):
         forked.append(workers)
-        return map_forked(ctx, run_chunk, ranges, workers, *rest)
+        return map_forked(ctx, run_chunk, ranges, workers)
 
     monkeypatch.setattr(dens, "_map_forked", counted)
 
@@ -574,9 +574,9 @@ def test_first_variation_samples_fork_on_the_worker_rule(monkeypatch):
     on 1, with the same numbers either way."""
     forked, map_forked = [], dens._map_forked
 
-    def counted(ctx, run_chunk, ranges, workers, *rest):
+    def counted(ctx, run_chunk, ranges, workers):
         forked.append(workers)
-        return map_forked(ctx, run_chunk, ranges, workers, *rest)
+        return map_forked(ctx, run_chunk, ranges, workers)
 
     monkeypatch.setattr(dens, "_map_forked", counted)
     monkeypatch.setattr(dens, "CHUNK_PATHS", 1000)
