@@ -105,13 +105,12 @@ def kappa(kernel: CovKernel, s: float, t: float, grid: TimeGrid,
                                          grid, cells=cells)))
 
 
-def eta(kernel: CovKernel, t: float, grid: TimeGrid,
-        cells: np.ndarray | None = None) -> float:
+def eta(kernel: CovKernel, t: float, grid: TimeGrid) -> float:
     """Self-similarity parameter eta_t = kappa_t^2 / sigma_t^2."""
     sig2 = kernel.sigma_sq0(t)
     if sig2 <= 0:
         raise ZeroDivisionError(f"sigma_t^2 = 0 at t = {t}: degenerate time")
-    return kappa(kernel, 0.0, t, grid, cells=cells) ** 2 / sig2
+    return kappa(kernel, 0.0, t, grid) ** 2 / sig2
 
 
 def q_embedding(rho: float) -> float:

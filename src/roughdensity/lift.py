@@ -32,33 +32,38 @@ def max_dissection_sum(cost, n_nodes: int) -> float:
     return best[-1]
 
 
+def _variation(dist, n: int, p: float, cutoff: int, fine) -> PVarResult:
+    """p-variation over grid nodes 0 .. n, from the increment norms
+    ``dist(i_arr, j)`` of nodes ``i_arr`` to node j and ``fine()``, the
+    norms of the n single steps.
+
+    Exact via O(n^2) dynamic programming up to ``cutoff`` steps; above the
+    cutoff, the maximum over an exact solve on cutoff + 1 subsampled nodes
+    and the finest single-scale sum (both certified lower bounds).
+    """
+    def dp_on(nodes):
+        return float(max_dissection_sum(
+            lambda j: dist(nodes[:j], nodes[j]) ** p, nodes.size) ** (1.0 / p))
+
+    if n <= cutoff:
+        return PVarResult(dp_on(np.arange(n + 1)), "exact-dp")
+    sub = dp_on(np.unique(np.linspace(0, n, cutoff + 1).astype(int)))
+    return PVarResult(max(sub, float((fine() ** p).sum() ** (1.0 / p))),
+                      "lower-bound")
+
+
 def p_variation(values: np.ndarray, p: float,
                 cutoff: int = PVAR_EXACT_CUTOFF) -> PVarResult:
-    """p-variation of the path of node ``values`` (shape (M,) or (M, dim)).
-
-    Exact via O(M^2) dynamic programming up to ``cutoff`` steps; above the
-    cutoff, the maximum over a subsampled exact solve and the finest
-    single-scale sum (both certified lower bounds).
-    """
+    """p-variation of the path of node ``values`` (shape (M,) or (M, dim)),
+    by `_variation`'s cutoff rule."""
     if p < 1:
         raise ValueError("p must be >= 1")
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
-    m = vals.shape[0]
-
-    def dp_on(v):
-        return float(max_dissection_sum(
-            lambda j: np.linalg.norm(v[j] - v[:j], axis=1) ** p,
-            v.shape[0]) ** (1.0 / p))
-
-    if m - 1 <= cutoff:
-        return PVarResult(dp_on(vals), "exact-dp")
-    take = np.unique(np.linspace(0, m - 1, cutoff + 1).astype(int))
-    sub = dp_on(vals[take])
-    fine = float((np.linalg.norm(np.diff(vals, axis=0), axis=1) ** p)
-                 .sum() ** (1.0 / p))
-    return PVarResult(max(sub, fine), "lower-bound")
+    return _variation(lambda i, j: np.linalg.norm(vals[j] - vals[i], axis=1),
+                      vals.shape[0] - 1, p, cutoff,
+                      lambda: np.linalg.norm(np.diff(vals, axis=0), axis=1))
 
 
 @dataclass(frozen=True)
@@ -94,59 +99,30 @@ class RoughPath2:
         """Increment x^1 between grid nodes i <= j."""
         return self._prefix1[j] - self._prefix1[i]
 
-    def level2(self, i: int, j: int) -> np.ndarray:
+    def level2(self, i, j) -> np.ndarray:
         """Iterated integral x^2 between grid nodes i <= j, composed by the
-        multiplicative identity."""
-        s = self._prefix1
-        return (self._prefix2[j] - self._prefix2[i]
-                - np.multiply.outer(s[i], s[j] - s[i]))
+        multiplicative (Chen) identity; broadcasts over index arrays."""
+        s, pre = self._prefix1, self._prefix2
+        return (pre[j] - pre[i]
+                - s[i][..., :, None] * (s[j] - s[i])[..., None, :])
 
     def scale(self, eps: float) -> "RoughPath2":
         """Lift of the path scaled by eps: level 1 x eps, level 2 x eps^2."""
         return RoughPath2(grid=self.grid, step1=eps * self.step1,
                           step2=(eps * eps) * self.step2)
 
-    def p_variation(self, level: int, p: float,
-                    cutoff: int = PVAR_EXACT_CUTOFF) -> PVarResult:
-        """p-variation of the level-1 or level-2 increment family."""
-        n = self.n_steps
-        if level == 1:
-            return p_variation(self._prefix1, p, cutoff=cutoff)
-        if level != 2:
-            raise ValueError("levels 1 and 2 only")
-
-        def dp_on(nodes):
-            def cost(j):
-                blocks = self.level2_batch(nodes[:j], int(nodes[j]))
-                return np.linalg.norm(blocks.reshape(j, -1), axis=1) ** p
-            return float(max_dissection_sum(cost, nodes.size) ** (1.0 / p))
-
-        if n <= cutoff:
-            return PVarResult(dp_on(np.arange(n + 1)), "exact-dp")
-        sub = dp_on(np.unique(np.linspace(0, n, cutoff + 1).astype(int)))
-        fine = float((np.linalg.norm(
-            self.step2.reshape(n, -1), axis=1) ** p).sum() ** (1.0 / p))
-        return PVarResult(max(sub, fine), "lower-bound")
-
-    def level2_batch(self, i_arr: np.ndarray, j: int) -> np.ndarray:
-        s, pre = self._prefix1, self._prefix2
-        return (pre[j][None] - pre[i_arr]
-                - np.einsum("ia,ib->iab", s[i_arr], s[j][None] - s[i_arr]))
-
     def chen_defect(self) -> tuple[float, float]:
         """Max multiplicativity defect
         |x2_{st} - x2_{su} - x2_{ut} - x1_{su} (x) x1_{ut}| over all grid
         triples, together with the max |x2| scale."""
-        s, pre = self._prefix1, self._prefix2
+        s = self._prefix1
         m = self.n_steps + 1
         worst = 0.0
         scale = 0.0
         for u in range(m):
             a = np.arange(u + 1)          # s <= u
             b = np.arange(u, m)           # t >= u
-            x2_sb = (pre[b][None] - pre[a][:, None]
-                     - np.einsum("ia,ijb->ijab", s[a],
-                                 s[b][None] - s[a][:, None]))
+            x2_sb = self.level2(a[:, None], b[None, :])
             x2_su = x2_sb[:, 0]
             x2_ub = x2_sb[-1]
             cross = np.einsum("ia,jb->ijab", s[u] - s[a], s[b] - s[u])
@@ -186,7 +162,11 @@ def lift_ensemble(data: np.ndarray) -> np.ndarray:
 
 def rough_norm(rp: RoughPath2, p: float) -> float:
     """Homogeneous p-variation norm sum_{n<=2} ||x^n||_{(p/n)-var}^(1/n)."""
-    v1 = rp.p_variation(1, p).value
-    v2 = rp.p_variation(2, p / 2).value
+    n = rp.n_steps
+    v1 = p_variation(rp._prefix1, p, PVAR_EXACT_CUTOFF).value
+    v2 = _variation(
+        lambda i, j: np.linalg.norm(rp.level2(i, j).reshape(i.size, -1),
+                                    axis=1),
+        n, p / 2, PVAR_EXACT_CUTOFF,
+        lambda: np.linalg.norm(rp.step2.reshape(n, -1), axis=1)).value
     return v1 + np.sqrt(v2)
-

@@ -106,15 +106,15 @@ def malliavin_matrix(flow: FlowState, vf: VectorFieldSystem,
                      kernel: CovKernel, t_node) -> np.ndarray:
     """Malliavin matrix gamma_t = sum_ij D_{s_i} Z_t M_ij D_{s_j} Z_t^T of a
     solved flow: its derivative kernel at the left endpoints s_i < t paired
-    with itself against the covariance cells M, shape (..., n, n)."""
+    with itself against the covariance cells M, shape (..., n, n), as
+    assembled (not symmetrised, so its asymmetry is visible round-off)."""
     if not np.all(np.isfinite(flow.Z)):
         raise FloatingPointError("flow contains non-finite states")
     idx = _t_index(flow.grid, t_node)
     kern = derivative_kernel(flow, vf, idx)[..., :idx, :, :]
     cells = cell_rect_matrix(kernel, flow.grid)[:idx, :idx]
-    gamma = np.einsum("ij,...iad,...jbd->...ab", cells, kern, kern,
-                      optimize=True)
-    return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
+    return np.einsum("ij,...iad,...jbd->...ab", cells, kern, kern,
+                     optimize=True)
 
 
 def deterministic_malliavin_matrix(h: CMElement, vf: VectorFieldSystem, z0,

@@ -234,10 +234,10 @@ def wiener_integral(h: CMElement, path_values: np.ndarray,
 
 
 def step_inner(f: np.ndarray, g: np.ndarray, kernel: CovKernel,
-               grid: TimeGrid, cells: np.ndarray | None = None) -> float:
+               grid: TimeGrid) -> float:
     """2D Riemann-Stieltjes pairing of grid step functions against dR:
     sum_ij f_i g_j E[dX_i dX_j] with cell (left-endpoint) values."""
-    m = cell_rect_matrix(kernel, grid) if cells is None else cells
+    m = cell_rect_matrix(kernel, grid)
     f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
     if f.ndim == 1:
         f, g = f[:, None], g[:, None]

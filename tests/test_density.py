@@ -39,7 +39,7 @@ from roughdensity.kernels import FractionalBrownian, TimeGrid, brownian
 from roughdensity.malliavin import (_increment_tangent,
                                    deterministic_malliavin_matrix)
 from roughdensity.paths import CMElement
-from roughdensity.rde import solve_batch
+from roughdensity.rde import BlowUpError, CoarseGridError, solve_batch
 
 from _flow_oracle import stored_reduce, term_by_term_directional_derivative
 from _kde_oracle import all_pairs_kde
@@ -377,6 +377,27 @@ def test_rate_function_reports_iterations():
     doc = res.to_json()
     assert doc["n_iterations"] == len(steps)
     assert doc["iterations"] == steps
+
+
+def test_rate_function_backtracks_the_whole_batch(monkeypatch):
+    # on a 16-step grid the first full step of every start leaves the
+    # scheme's trusted range: solve_batch refuses the whole trial batch,
+    # every step halves, and the solve still converges from there
+    refusals = []
+
+    def counting_solve_batch(*args, **kwargs):
+        try:
+            return solve_batch(*args, **kwargs)
+        except (BlowUpError, CoarseGridError):
+            refusals.append(1)
+            raise
+
+    monkeypatch.setattr(dens, "solve_batch", counting_solve_batch)
+    res = rate_function([math.e ** 3], brownian(), scalar_linear_field(1.0),
+                        [1.0], TimeGrid.regular(16), n_starts=5, seed=0)
+    assert len(refusals) >= 1
+    assert res.iterations[0]["step"] < 1
+    assert res.residual <= res.tol
 
 
 def test_varadhan_sweep_additive_matches_exact_curve():

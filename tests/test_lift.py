@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,17 @@ def test_rough_norm_monotone_in_horizon():
         v = rough_norm(lift(vals[:n + 1], sub), 2.5)
         assert v >= prev - 1e-12
         prev = v
+
+
+def test_rough_norm_above_the_cutoff_is_a_lower_bound(monkeypatch):
+    # the package attribute ``roughdensity.lift`` is the function, so the
+    # module is reached through sys.modules
+    lift_module = sys.modules["roughdensity.lift"]
+    ens = sample(brownian(), TimeGrid.regular(64), d=2, n_paths=1, seed=41)
+    rp = lift(ens.path(0), ens.grid)
+    exact = rough_norm(rp, 2.5)
+    monkeypatch.setattr(lift_module, "PVAR_EXACT_CUTOFF", 16)
+    assert rough_norm(rp, 2.5) <= exact
 
 
 def test_lift_ensemble_matches_single_lifts():

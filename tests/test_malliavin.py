@@ -201,17 +201,21 @@ def test_kernel_and_directional_derivative_need_the_jacobian():
 
 
 def test_matrix_symmetry_and_psd_on_samples():
+    # gamma is returned as assembled, not symmetrised, so the 2-D field
+    # checks the assembly's own symmetry
     k = FractionalBrownian(0.4)
-    vf = bounded_nonlinear_field()
     grid = TimeGrid.regular(64)
-    ens = sample(k, grid, d=1, n_paths=50, seed=11)
-    batch = solve_batch(lift_ensemble(ens.data), grid, vf, z0=[0.1], eps=1.0)
-    gammas = malliavin_matrix(batch, vf, k, 1.0)
-    np.testing.assert_allclose(gammas, np.swapaxes(gammas, -1, -2),
-                               atol=1e-14)
-    eigs = np.linalg.eigvalsh(gammas)
-    trace = np.trace(gammas, axis1=-2, axis2=-1)
-    assert np.all(eigs[:, 0] >= -1e-10 * np.maximum(trace, 1e-30))
+    for vf, z0 in [(bounded_nonlinear_field(), [0.1]),
+                   (rotation_mix_field(), [0.1, -0.2])]:
+        ens = sample(k, grid, d=vf.d, n_paths=50, seed=11)
+        batch = solve_batch(lift_ensemble(ens.data), grid, vf, z0=z0,
+                            eps=1.0)
+        gammas = malliavin_matrix(batch, vf, k, 1.0)
+        np.testing.assert_allclose(gammas, np.swapaxes(gammas, -1, -2),
+                                   atol=1e-14)
+        eigs = np.linalg.eigvalsh(gammas)
+        trace = np.trace(gammas, axis1=-2, axis2=-1)
+        assert np.all(eigs[:, 0] >= -1e-10 * np.maximum(trace, 1e-30))
 
 
 @pytest.mark.parametrize("vf",
